@@ -61,16 +61,17 @@ IncrementalLinker::IncrementalLinker(data::Dataset dataset,
   calibrated_ = true;
 }
 
-bool IncrementalLinker::Accept(const double* row, double* score) const {
+bool IncrementalLinker::Accept(const double* row, double* key,
+                               double* score) const {
   if (!calibrated_) {
     if (score != nullptr) *score = 0.0;
     return false;
   }
-  std::vector<double> key(compiled_.KeySize());
-  compiled_.Key(row, key.data());
-  if (score != nullptr) *score = key.empty() ? 0.0 : key[0];
+  const size_t key_size = compiled_.KeySize();
+  compiled_.Key(row, key);
+  if (score != nullptr) *score = key_size == 0 ? 0.0 : key[0];
   // The prioritized first group decides; later groups break ties.
-  for (size_t g = 0; g < key.size(); ++g) {
+  for (size_t g = 0; g < key_size; ++g) {
     if (key[g] > threshold_key_[g]) return true;
     if (key[g] < threshold_key_[g]) return false;
   }
@@ -235,12 +236,13 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
       // produces the same matches and bit-identical scores as the
       // parallel path below.
       std::vector<double> row(extractor_.feature_count());
+      std::vector<double> key(compiled_.KeySize());
       for (size_t k = 0; k < candidates.size(); ++k) {
         const size_t i = candidates[k];
         extractor_.RowFromCache(record, record_entry.text, dataset_[i],
                                 entries[k]->text, row.data());
         double score = 0.0;
-        const bool accepted = Accept(row.data(), &score);
+        const bool accepted = Accept(row.data(), key.data(), &score);
         quality::CandidateDecision decision;
         decision.candidate_id = dataset_[i].id;
         decision.candidate_index = static_cast<uint32_t>(i);
@@ -266,12 +268,15 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
           [&](size_t begin, size_t end) {
             std::vector<ScoredMatch> local;
             std::vector<double> row(extractor_.feature_count());
+            std::vector<double> key(compiled_.KeySize());
             for (size_t k = begin; k < end; ++k) {
               const size_t i = candidates[k];
               extractor_.RowFromCache(record, record_entry.text, dataset_[i],
                                       entries[k]->text, row.data());
               double score = 0.0;
-              if (Accept(row.data(), &score)) local.push_back({i, score});
+              if (Accept(row.data(), key.data(), &score)) {
+                local.push_back({i, score});
+              }
             }
             return local;
           },

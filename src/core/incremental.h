@@ -134,7 +134,9 @@ class IncrementalLinker {
 
   /// True when the row clears the calibrated boundary; `score` (when
   /// non-null) receives the row's prioritized group sum regardless.
-  bool Accept(const double* row, double* score = nullptr) const;
+  /// `key` is caller-owned scratch of compiled_.KeySize() doubles, so the
+  /// per-pair check does not allocate.
+  bool Accept(const double* row, double* key, double* score = nullptr) const;
 
   static TextEntry ComputeTextEntry(const data::SpatialEntity& e);
 

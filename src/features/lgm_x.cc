@@ -54,6 +54,7 @@ LgmXExtractor::LgmXExtractor(lgm::LgmSim name_sim, lgm::LgmSim addr_sim,
   }
   sorted_jw_basic_index_ = IndexOfMeasure(basic, "jaro_winkler_sorted");
   jw_basic_index_ = IndexOfMeasure(basic, "jaro_winkler");
+  dl_basic_index_ = IndexOfMeasure(basic, "damerau_levenshtein");
 }
 
 LgmXExtractor LgmXExtractor::FromCorpus(const data::Dataset& dataset,
@@ -113,14 +114,19 @@ void LgmXExtractor::TextFeatures(const lgm::LgmSim& sim,
                    : std::max(raw_score,
                               sortable[s].fn(a_sorted, b_sorted));
   }
+  // Groups (iii) and (iv) share one LGM-Sim term split of the pair; each
+  // measure's sorting decision reads its group-(i) raw score.
+  thread_local lgm::PairSplit split;
+  sim.Split(a_norm, a_sorted, b_norm, b_sorted, &split);
   // Group (iii): LGM-Sim meta-similarity on top of each sortable measure.
-  for (const text::NamedSimilarity& m : sortable) {
-    out[k++] = sim.ScoreNormalized(a_norm, b_norm, m.fn);
+  for (size_t s = 0; s < sortable.size(); ++s) {
+    out[k++] = sim.ScoreSplit(&split, sortable[s].fn,
+                              raw[sortable_to_basic_[s]]);
   }
   // Group (iv): the three individual list scores, computed with
   // Damerau-Levenshtein as in the paper.
-  const lgm::ListScores scores = sim.IndividualScoresNormalized(
-      a_norm, b_norm, text::DamerauLevenshteinSimilarity);
+  const lgm::ListScores scores = sim.IndividualScoresSplit(
+      &split, text::DamerauLevenshteinSimilarity, raw[dl_basic_index_]);
   out[k++] = scores.base;
   out[k++] = scores.mismatch;
   out[k++] = scores.frequent;

@@ -96,13 +96,15 @@ class LgmXExtractor {
   lgm::LgmSim addr_sim_;
   LgmXOptions options_;
   std::vector<std::string> names_;
-  // Registry-position maps resolved once at construction: group (ii)
-  // reuses group (i) raw scores via sortable_to_basic_, and the pre-sorted
-  // measure ("jaro_winkler_sorted") is computed from the cached sorted
-  // strings via the plain Jaro-Winkler entry.
+  // Registry-position maps resolved once at construction: groups (ii) and
+  // (iii) reuse group (i) raw scores via sortable_to_basic_, group (iv)
+  // the Damerau-Levenshtein one, and the pre-sorted measure
+  // ("jaro_winkler_sorted") is computed from the cached sorted strings via
+  // the plain Jaro-Winkler entry.
   std::vector<size_t> sortable_to_basic_;
   size_t sorted_jw_basic_index_;
   size_t jw_basic_index_;
+  size_t dl_basic_index_;
 };
 
 }  // namespace skyex::features

@@ -44,7 +44,7 @@ FrequentTermDictionary FrequentTermDictionary::FromTerms(
 }
 
 bool FrequentTermDictionary::Contains(std::string_view term) const {
-  return terms_.find(std::string(term)) != terms_.end();
+  return terms_.find(term) != terms_.end();
 }
 
 }  // namespace skyex::lgm

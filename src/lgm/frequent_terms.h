@@ -2,6 +2,7 @@
 #define SKYEX_LGM_FREQUENT_TERMS_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -37,11 +38,18 @@ class FrequentTermDictionary {
   /// stop list).
   static FrequentTermDictionary FromTerms(std::vector<std::string> terms);
 
+  /// Looks `term` up without copying it (heterogeneous lookup).
   bool Contains(std::string_view term) const;
   size_t size() const { return terms_.size(); }
 
  private:
-  std::unordered_set<std::string> terms_;
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+  std::unordered_set<std::string, TermHash, std::equal_to<>> terms_;
 };
 
 }  // namespace skyex::lgm

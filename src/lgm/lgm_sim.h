@@ -64,20 +64,34 @@ class LgmSim {
                            text::SimilarityFn base_fn) const;
 
   /// Variants that skip normalization — the caller passes strings already
-  /// run through text::Normalize (the feature extractor caches them per
-  /// entity, which matters when scoring hundreds of thousands of pairs).
+  /// run through text::Normalize.
   double ScoreNormalized(std::string_view na, std::string_view nb,
                          text::SimilarityFn base_fn) const;
   ListScores IndividualScoresNormalized(std::string_view na,
                                         std::string_view nb,
                                         text::SimilarityFn base_fn) const;
 
+  /// Splits a normalized pair once for any number of measures (see
+  /// PairSplit::Assign); the wrappers above split per call.
+  void Split(std::string_view na, std::string_view na_sorted,
+             std::string_view nb, std::string_view nb_sorted,
+             PairSplit* split) const;
+
+  /// Score / IndividualScores over a pair split by Split(). `raw` is
+  /// base_fn(na, nb), which the feature extractor already holds; it takes
+  /// the custom-sorting decision.
+  double ScoreSplit(PairSplit* split, text::SimilarityFn base_fn,
+                    double raw) const;
+  ListScores IndividualScoresSplit(PairSplit* split,
+                                   text::SimilarityFn base_fn,
+                                   double raw) const;
+
   const LgmSimConfig& config() const { return config_; }
   const FrequentTermDictionary& dictionary() const { return dictionary_; }
 
  private:
-  TermLists SplitNormalized(std::string_view na, std::string_view nb,
-                            text::SimilarityFn base_fn) const;
+  PairSplit::Joined MatchSplit(PairSplit* split, text::SimilarityFn base_fn,
+                               double raw) const;
 
   FrequentTermDictionary dictionary_;
   LgmSimConfig config_;

@@ -114,7 +114,11 @@ void SampleRing::Drain(std::vector<Sample>* out) {
 namespace {
 
 struct ThreadState {
-  SampleRing ring;
+  // 4,096 slots of ~408 B (1.67 MB), so a thread gets its ring only when
+  // sampling starts for it, and keeps it until it exits so that samples
+  // taken before a Stop() stay drainable. Published before the thread's
+  // timer is armed: release on store, acquire in the handler.
+  std::atomic<SampleRing*> ring{nullptr};
   std::atomic<uint8_t> phase{0};
   std::atomic<uint64_t> request_id{0};
 #if defined(__linux__)
@@ -123,6 +127,8 @@ struct ThreadState {
   timer_t timer{};
   bool timer_armed = false;
 #endif
+
+  ~ThreadState() { delete ring.load(std::memory_order_relaxed); }
 };
 
 struct ProfRegistry {
@@ -159,15 +165,17 @@ extern "C" void skyex_prof_sigprof_handler(int, siginfo_t*, void*) {
   if (state == nullptr || !g_running.load(std::memory_order_relaxed)) {
     return;
   }
+  SampleRing* ring = state->ring.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
   const int saved_errno = errno;
-  Sample* sample = state->ring.BeginWrite();
+  Sample* sample = ring->BeginWrite();
   const int depth =
       ::backtrace(sample->frames, static_cast<int>(Sample::kMaxFrames));
   sample->depth = depth > 0 ? static_cast<uint32_t>(depth) : 0;
   const uint8_t phase = state->phase.load(std::memory_order_relaxed);
   sample->phase = static_cast<Phase>(phase);
   sample->request_id = state->request_id.load(std::memory_order_relaxed);
-  state->ring.CommitWrite();
+  ring->CommitWrite();
   g_phase_samples[phase < kPhaseCount ? phase : 0].fetch_add(
       1, std::memory_order_relaxed);
   errno = saved_errno;
@@ -183,6 +191,11 @@ namespace {
 
 bool ArmTimer(ThreadState* state, int hz, std::string* error) {
   if (state->timer_armed) return true;
+  // The ring is published before the timer exists, so the first signal
+  // already finds it.
+  if (state->ring.load(std::memory_order_relaxed) == nullptr) {
+    state->ring.store(new SampleRing(), std::memory_order_release);
+  }
   clockid_t clock_id;
   if (::pthread_getcpuclockid(state->pthread, &clock_id) != 0) {
     if (error != nullptr) *error = "pthread_getcpuclockid failed";
@@ -266,10 +279,12 @@ struct ThreadRegistrar {
     // a signal already past the check on *this* thread is impossible —
     // we are running on it.
     t_state = nullptr;
-    registry.retired.reserve(registry.retired.size() + 64);
-    state->ring.Drain(&registry.retired);
-    registry.retired_total += state->ring.total();
-    registry.retired_dropped += state->ring.dropped();
+    if (SampleRing* ring = state->ring.load(std::memory_order_relaxed)) {
+      registry.retired.reserve(registry.retired.size() + 64);
+      ring->Drain(&registry.retired);
+      registry.retired_total += ring->total();
+      registry.retired_dropped += ring->dropped();
+    }
     registry.threads.erase(
         std::remove(registry.threads.begin(), registry.threads.end(), state),
         registry.threads.end());
@@ -364,8 +379,10 @@ Profile CpuProfiler::Drain() {
     samples.swap(registry.retired);
     dropped += registry.retired_dropped;
     for (ThreadState* state : registry.threads) {
-      state->ring.Drain(&samples);
-      dropped += state->ring.dropped();
+      SampleRing* ring = state->ring.load(std::memory_order_relaxed);
+      if (ring == nullptr) continue;  // never sampled
+      ring->Drain(&samples);
+      dropped += ring->dropped();
     }
     const auto now = std::chrono::steady_clock::now();
     profile.wall_seconds =
@@ -423,7 +440,10 @@ uint64_t CpuProfiler::total_samples() const {
   ProfRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   uint64_t total = registry.retired_total;
-  for (ThreadState* state : registry.threads) total += state->ring.total();
+  for (ThreadState* state : registry.threads) {
+    const SampleRing* ring = state->ring.load(std::memory_order_relaxed);
+    if (ring != nullptr) total += ring->total();
+  }
   return total;
 }
 
@@ -431,7 +451,10 @@ uint64_t CpuProfiler::total_dropped() const {
   ProfRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   uint64_t total = registry.retired_dropped;
-  for (ThreadState* state : registry.threads) total += state->ring.dropped();
+  for (ThreadState* state : registry.threads) {
+    const SampleRing* ring = state->ring.load(std::memory_order_relaxed);
+    if (ring != nullptr) total += ring->dropped();
+  }
   return total;
 }
 

@@ -8,8 +8,10 @@
 // thread is sampled only while it actually burns CPU — idle I/O
 // workers cost nothing. The SIGPROF handler captures a backtrace()
 // frame array plus the thread's current *phase* tag and request id
-// into a fixed-capacity per-thread sample ring; symbolization (dladdr
-// + demangling) happens lazily at dump time, never in the handler.
+// into a fixed-capacity per-thread sample ring, which a thread gets only
+// once sampling starts for it (registration alone allocates none);
+// symbolization (dladdr + demangling) happens lazily at dump time, never
+// in the handler.
 //
 // Phases name the pipeline stage a thread is executing — blocking,
 // extraction, skyline, ranking, serve, training — installed by the

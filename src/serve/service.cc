@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "core/model_io.h"
 #include "core/pipeline.h"
 #include "core/skyex_t.h"
+#include "data/csv.h"
 #include "features/feature_schema.h"
 #include "geo/distance.h"
 #include "geo/quadflex.h"
@@ -53,48 +55,62 @@ bool ParseEntityJson(const obs::json::Value& value,
   *out = data::SpatialEntity{};
   out->location = geo::GeoPoint::Invalid();
 
+  // Text fields are repaired to valid UTF-8 (U+FFFD for bad bytes), as
+  // CSV loading does, so responses never echo raw invalid bytes.
   const obs::json::Value* name = FindTyped(value, "name", Type::kString);
   if (name == nullptr || name->string_v.empty()) {
     *error = "entity needs a non-empty string field 'name'";
     return false;
   }
-  out->name = name->string_v;
+  out->name = data::SanitizeUtf8(name->string_v);
 
+  // Numbers are range-checked as doubles before any cast: converting a
+  // negative, infinite (`1e400` parses to inf) or out-of-range double to
+  // an integer type is undefined behaviour.
   if (const auto* v = FindTyped(value, "id", Type::kNumber)) {
+    if (!(v->number_v >= 0.0 && v->number_v < 0x1p64)) {
+      *error = "id out of range";
+      return false;
+    }
     out->id = static_cast<uint64_t>(v->number_v);
   }
   if (const obs::json::Value* v = value.Find("source")) {
     if (v->is_string()) {
       if (!ParseSourceName(v->string_v, &out->source)) {
-        *error = "unknown source '" + v->string_v + "'";
+        *error = "unknown source '" + data::SanitizeUtf8(v->string_v) + "'";
         return false;
       }
     } else if (v->is_number()) {
-      const int s = static_cast<int>(v->number_v);
-      if (s < 0 || s > static_cast<int>(data::Source::kZagat)) {
+      if (!(v->number_v >= 0.0 &&
+            v->number_v < static_cast<int>(data::Source::kZagat) + 1)) {
         *error = "source index out of range";
         return false;
       }
-      out->source = static_cast<data::Source>(s);
+      out->source = static_cast<data::Source>(static_cast<int>(v->number_v));
     } else {
       *error = "source must be a string or an integer";
       return false;
     }
   }
   if (const auto* v = FindTyped(value, "address_name", Type::kString)) {
-    out->address_name = v->string_v;
+    out->address_name = data::SanitizeUtf8(v->string_v);
   }
   if (const auto* v = FindTyped(value, "address_number", Type::kNumber)) {
+    if (!(v->number_v >= std::numeric_limits<int>::min() &&
+          v->number_v <= std::numeric_limits<int>::max())) {
+      *error = "address_number out of range";
+      return false;
+    }
     out->address_number = static_cast<int>(v->number_v);
   }
   if (const auto* v = FindTyped(value, "city", Type::kString)) {
-    out->city = v->string_v;
+    out->city = data::SanitizeUtf8(v->string_v);
   }
   if (const auto* v = FindTyped(value, "phone", Type::kString)) {
-    out->phone = v->string_v;
+    out->phone = data::SanitizeUtf8(v->string_v);
   }
   if (const auto* v = FindTyped(value, "website", Type::kString)) {
-    out->website = v->string_v;
+    out->website = data::SanitizeUtf8(v->string_v);
   }
   if (const auto* v = FindTyped(value, "categories", Type::kArray)) {
     for (const auto& item : v->array_v) {
@@ -102,7 +118,7 @@ bool ParseEntityJson(const obs::json::Value& value,
         *error = "categories must be an array of strings";
         return false;
       }
-      out->categories.push_back(item.string_v);
+      out->categories.push_back(data::SanitizeUtf8(item.string_v));
     }
   }
   const auto* lat = FindTyped(value, "lat", Type::kNumber);

@@ -18,6 +18,10 @@
 // buffers outside that group, so one arena per thread suffices. A kernel
 // must never call a kernel of its own family while holding views into its
 // family's buffers.
+//
+// LGM-Sim's per-pair term split (lgm::PairSplit) keeps its buffers outside
+// this arena: it calls kernels of every family while holding views into
+// its token and joined-list buffers, so none of them may live here.
 
 namespace skyex::text {
 

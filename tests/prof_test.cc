@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -321,6 +323,54 @@ TEST_F(ProfTest, HeapProfileJsonParses) {
     EXPECT_NE(zones->Find(prof::PhaseName(static_cast<prof::Phase>(i))),
               nullptr);
   }
+}
+
+uint64_t HeapAllocBytes() {
+  prof::HeapZoneStats zones[prof::kPhaseCount];
+  prof::HeapStatsAll(zones);
+  uint64_t total = 0;
+  for (const prof::HeapZoneStats& zone : zones) total += zone.alloc_bytes;
+  return total;
+}
+
+// A sample ring is 4,096 slots of ~408 B, so registering a thread while
+// no sampler runs must not allocate one; once the profiler starts, that
+// thread's samples must still arrive. The hand-offs block rather than
+// spin, so no handler writes a ring while this test drains it.
+TEST_F(ProfTest, RingAllocatedOnlyWhileSampling) {
+  auto& profiler = prof::CpuProfiler::Global();
+  ASSERT_FALSE(profiler.running());
+  std::promise<uint64_t> registered;
+  std::promise<void> started;
+  std::promise<void> burned;
+  std::promise<void> drained;
+  std::thread worker([&] {
+    const uint64_t before = HeapAllocBytes();
+    profiler.RegisterCurrentThread();
+    registered.set_value(HeapAllocBytes() - before);
+    started.get_future().wait();
+    {
+      prof::PhaseScope scope(prof::Phase::kShard);
+      skyex_prof_test_burn(60000000);
+    }
+    burned.set_value();
+    drained.get_future().wait();  // keep the ring live through Drain
+  });
+  const uint64_t registration_bytes = registered.get_future().get();
+  if (prof::HeapHooksActive()) {
+    EXPECT_LT(registration_bytes, 64u * 1024u);
+  }
+  std::string error;
+  const bool running = profiler.Start(1000, &error);
+  started.set_value();
+  burned.get_future().wait();
+  profiler.Stop();
+  const prof::Profile profile = profiler.Drain();
+  drained.set_value();
+  worker.join();
+  if (!running) GTEST_SKIP() << "profiler unavailable: " << error;
+  EXPECT_GT(profile.phase_samples[static_cast<size_t>(prof::Phase::kShard)],
+            0u);
 }
 
 TEST_F(ProfTest, StartIsIdempotentAndStopDisarms) {

@@ -204,6 +204,44 @@ TEST(ServeTest, ErrorMapping) {
       client.Request("POST", "/v1/link_batch", R"({"entities": []})");
   ASSERT_TRUE(empty_batch.has_value());
   EXPECT_EQ(empty_batch->status, 400);
+
+  // Numbers that no integer field can hold are rejected before any cast
+  // (1e400 parses to inf).
+  for (const char* field : {
+           R"("id": -1)", R"("id": 1e400)", R"("id": 1e20)",
+           R"("source": -1)", R"("source": 1e10)", R"("source": -1e400)",
+           R"("address_number": 3e9)", R"("address_number": -3e9)",
+           R"("address_number": 1e400)"}) {
+    const std::string body =
+        std::string(R"({"entity": {"name": "kro", )") + field + "}}";
+    const auto response = client.Request("POST", "/v1/link", body);
+    ASSERT_TRUE(response.has_value()) << field;
+    EXPECT_EQ(response->status, 400) << field;
+    EXPECT_NE(response->body.find("error"), std::string::npos) << field;
+  }
+}
+
+// Invalid UTF-8 in a text field is repaired to U+FFFD, as CSV loading
+// does, instead of being stored and echoed raw.
+TEST(ServeTest, InvalidUtf8IsRepaired) {
+  TestServer ts = StartServer();
+  serve::HttpClient client("127.0.0.1", ts.port());
+  // Far from every store record, so the merged record is the entity.
+  const auto response = client.Request(
+      "POST", "/v1/link",
+      "{\"entity\": {\"name\": \"kro \xff\xfe bar\", "
+      "\"lat\": -45.0, \"lon\": -120.0}}");
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->status, 200) << response->body;
+  std::string error;
+  const auto json = obs::json::Parse(response->body, &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  const auto* merged = json->Find("merged");
+  ASSERT_NE(merged, nullptr);
+  const auto* name = merged->Find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->string_v, "kro \xEF\xBF\xBD\xEF\xBF\xBD bar");
+  EXPECT_EQ(response->body.find('\xff'), std::string::npos);
 }
 
 TEST(ServeTest, OversizedBodyGets413) {
