@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "geo/distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prof/prof.h"
@@ -14,9 +13,9 @@ namespace skyex::core {
 
 namespace {
 
-/// Work below this many items is scanned inline: the pool hand-off only
-/// pays for itself on large stores.
-constexpr size_t kParallelScanMinItems = 2048;
+/// Fewer candidates than this are scored inline: the pool hand-off only
+/// pays for itself on large candidate sets.
+constexpr size_t kParallelScoreMinItems = 2048;
 
 }  // namespace
 
@@ -29,7 +28,11 @@ IncrementalLinker::IncrementalLinker(data::Dataset dataset,
     : dataset_(std::move(dataset)),
       extractor_(std::move(extractor)),
       model_(std::move(model)),
-      options_(options) {
+      options_(options),
+      grid_(options.radius_m) {
+  for (const data::SpatialEntity& e : dataset_.entities) {
+    grid_.Insert(e.location);
+  }
   const auto compiled =
       model_.preference ? skyline::Compile(*model_.preference)
                         : std::nullopt;
@@ -128,28 +131,14 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
     SKYEX_PROF_PHASE(::skyex::prof::Phase::kBlocking);
     const double phase_start = obs::TraceNowUs();
     if (record.location.valid) {
-      // Chunk results concatenate in chunk order, so the candidate list
-      // stays ascending at any thread count.
-      const size_t n = dataset_.size();
-      par::ForOptions for_options;
-      for_options.grain = kParallelScanMinItems;
-      for_options.chunking = par::Chunking::kDynamic;
-      candidates = par::ParallelReduceOrdered<std::vector<size_t>>(
-          0, n, for_options,
-          [&](size_t begin, size_t end) {
-            std::vector<size_t> local;
-            for (size_t i = begin; i < end; ++i) {
-              const double d = geo::EquirectangularMeters(
-                  record.location, dataset_[i].location);
-              if (d >= 0.0 && d <= options_.radius_m) local.push_back(i);
-            }
-            return local;
+      size_t tested = 0;
+      candidates = grid_.Query(
+          record.location,
+          [this](size_t i) -> const geo::GeoPoint& {
+            return dataset_[i].location;
           },
-          [](std::vector<size_t> acc, std::vector<size_t> next) {
-            acc.insert(acc.end(), next.begin(), next.end());
-            return acc;
-          },
-          std::vector<size_t>());
+          &tested);
+      SKYEX_COUNTER_ADD("core/incremental_distance_tests", tested);
     } else if (options_.max_cartesian == 0 ||
                dataset_.size() <= options_.max_cartesian) {
       candidates.resize(dataset_.size());
@@ -260,7 +249,7 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
       par::ForOptions for_options;
       for_options.grain = 64;
       for_options.chunking = par::Chunking::kDynamic;
-      if (candidates.size() < kParallelScanMinItems) {
+      if (candidates.size() < kParallelScoreMinItems) {
         for_options.max_parallelism = 1;
       }
       links = par::ParallelReduceOrdered<std::vector<ScoredMatch>>(
@@ -295,6 +284,7 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
 
 void IncrementalLinker::Append(const data::SpatialEntity& record) {
   dataset_.entities.push_back(record);
+  grid_.Insert(record.location);
   SKYEX_COUNTER_INC("core/incremental_records");
 }
 

@@ -12,6 +12,7 @@
 #include "data/spatial_entity.h"
 #include "features/lgm_x.h"
 #include "features/sketch.h"
+#include "geo/radius_grid.h"
 #include "quality/audit_log.h"
 
 namespace skyex::core {
@@ -24,7 +25,8 @@ namespace skyex::core {
 /// (learned once from the training data as the minimal accepted
 /// group-sum key).
 struct IncrementalLinkerOptions {
-  /// Candidate radius around the new record.
+  /// Candidate radius around the new record. It also sets the cell edge
+  /// of the linker's candidate index (geo::RadiusGrid).
   double radius_m = 200.0;
   /// Quantile of the accepted training pairs' group-sum keys used as the
   /// acceptance boundary: 0.1 links generously (recall-leaning), 0.5
@@ -49,10 +51,11 @@ struct IncrementalLinkerOptions {
 
 /// Per-call phase timing of AddRecord, for callers that attribute
 /// latency (the serving layer's flight recorder). `candidates_us` is
-/// the spatial/cartesian candidate scan, `prefilter_us` the text-state
-/// lookup + sketch pre-filter over those candidates, `score_us` the
-/// LGM-X feature extraction + skyline-key acceptance over the
-/// survivors. `candidates` counts candidates BEFORE the pre-filter.
+/// the candidate lookup (the spatial index, or every record for a
+/// record without coordinates), `prefilter_us` the text-state lookup +
+/// sketch pre-filter over those candidates, `score_us` the LGM-X
+/// feature extraction + skyline-key acceptance over the survivors.
+/// `candidates` counts candidates BEFORE the pre-filter.
 struct AddRecordStats {
   size_t candidates = 0;
   double candidates_us = 0.0;
@@ -158,6 +161,10 @@ class IncrementalLinker {
   /// is linked when its key is lexicographically ≥ this threshold.
   std::vector<double> threshold_key_;
   bool calibrated_ = false;
+
+  /// Candidate index over dataset_ locations: grid id i is dataset
+  /// index i (filled at construction, extended by Append).
+  geo::RadiusGrid grid_;
 
   /// LRU of per-entity text state, keyed by dataset index (stable:
   /// Append only ever adds records). `mutable` because MatchRecord is

@@ -51,11 +51,13 @@ bool CircleIntersectsBox(const GeoPoint& center, double radius_m,
   // (the center's or either box edge's): EquirectangularMeters scales
   // dlon by cos(mean_lat), and |mean| <= max(|center.lat|, |q.lat|) for
   // any q in the box, so cos(mean) >= cos(at) and the true degree reach
-  // of the radius never exceeds MetersToLonDegrees(radius, at).
+  // of the radius never exceeds MetersToLonDegrees(radius, at). Near a
+  // pole that reach widens without cap as cos(at) vanishes, up to the
+  // 360° MetersToLonDegrees returns there.
   const double dlat = MetersToLatDegrees(radius_m);
   const double at = std::max(
       {std::fabs(center.lat), std::fabs(box.min_lat), std::fabs(box.max_lat)});
-  const double dlon = MetersToLonDegrees(radius_m, std::min(at, 89.9));
+  const double dlon = MetersToLonDegrees(radius_m, at);
   constexpr double kSlackDeg = 1e-9;  // absorbs the degree conversions' FP
   return center.lat >= box.min_lat - dlat - kSlackDeg &&
          center.lat <= box.max_lat + dlat + kSlackDeg &&

@@ -24,9 +24,10 @@ double MetersToLonDegrees(double meters, double at_lat);
 /// `radius_m` of `center` under EquirectangularMeters — may also return
 /// true for boxes slightly outside the radius (the box is inflated by
 /// the radius in degrees at the least favorable latitude), never false
-/// for a box that actually contains an in-radius point. The shard router
-/// uses this to decide which quadtree cells a candidate scan can touch;
-/// conservatism means a pruned cell provably holds no candidate.
+/// for a box that actually contains an in-radius point, at any latitude
+/// up to the poles. The shard router uses this to decide which quadtree
+/// cells can hold a candidate; conservatism means a pruned cell provably
+/// holds no candidate.
 /// An invalid center intersects nothing (returns false).
 bool CircleIntersectsBox(const GeoPoint& center, double radius_m,
                          const BoundingBox& box);

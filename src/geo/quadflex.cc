@@ -92,4 +92,15 @@ std::vector<CandidatePair> CartesianBlock(size_t n) {
   return pairs;
 }
 
+std::vector<CandidatePair> BlockPoints(const std::vector<GeoPoint>& points,
+                                       const char** blocker) {
+  const bool any_coordinates = std::any_of(
+      points.begin(), points.end(), [](const GeoPoint& p) { return p.valid; });
+  if (blocker != nullptr) {
+    *blocker = any_coordinates ? "quadflex" : "cartesian";
+  }
+  return any_coordinates ? QuadFlexBlock(points)
+                         : CartesianBlock(points.size());
+}
+
 }  // namespace skyex::geo

@@ -43,6 +43,13 @@ std::vector<CandidatePair> QuadFlexBlock(const std::vector<GeoPoint>& points,
 /// like the Restaurants dataset). Returns n·(n-1)/2 pairs.
 std::vector<CandidatePair> CartesianBlock(size_t n);
 
+/// The pipelines' blocker choice: QuadFlexBlock when any point has
+/// coordinates (points without them then never pair), CartesianBlock
+/// over all points when none has. `blocker` (optional) receives
+/// "quadflex" or "cartesian".
+std::vector<CandidatePair> BlockPoints(const std::vector<GeoPoint>& points,
+                                       const char** blocker = nullptr);
+
 }  // namespace skyex::geo
 
 #endif  // SKYEX_GEO_QUADFLEX_H_

@@ -412,11 +412,9 @@ bool Calibrate(const data::Dataset& dataset, const core::SkyExTModel& model,
       return false;
     }
   }
-  const bool has_coordinates =
-      !dataset.entities.empty() && dataset.entities.front().location.valid;
-  std::vector<geo::CandidatePair> pairs =
-      has_coordinates ? geo::QuadFlexBlock(dataset.Points())
-                      : geo::CartesianBlock(dataset.size());
+  const char* blocker = nullptr;
+  const std::vector<geo::CandidatePair> pairs =
+      geo::BlockPoints(dataset.Points(), &blocker);
   out->extractor = features::LgmXExtractor::FromCorpus(dataset);
   out->features = out->extractor->Extract(dataset, pairs);
   const std::vector<size_t> all_rows = core::AllRows(pairs.size());
@@ -434,7 +432,7 @@ bool Calibrate(const data::Dataset& dataset, const core::SkyExTModel& model,
   SKYEX_LOG_INFO("serve/bootstrap", "calibrated incremental linker",
                  {"records", dataset.size()}, {"pairs", pairs.size()},
                  {"accepted_pairs", out->accepted.size()},
-                 {"blocker", has_coordinates ? "quadflex" : "cartesian"});
+                 {"blocker", blocker});
   return true;
 }
 

@@ -168,7 +168,8 @@ class LinkService {
 };
 
 /// Builds a LinkService from a dataset and a trained model: blocks the
-/// dataset (QuadFlex with coordinates, Cartesian without), extracts
+/// dataset (geo::BlockPoints: QuadFlex when any record has coordinates,
+/// Cartesian otherwise), extracts
 /// LGM-X features, labels every pair with the model, and calibrates the
 /// incremental linker's acceptance threshold on the accepted pairs.
 /// Rejects models whose preference reads feature indices outside the

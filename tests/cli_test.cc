@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "data/csv.h"
@@ -25,6 +26,22 @@ int RunCli(const std::string& args) {
   const std::string command =
       std::string(SKYEX_CLI_PATH) + " " + args + " > /dev/null 2>&1";
   return std::system(command.c_str());
+}
+
+// Runs the CLI with stderr (the structured log) captured in `log`.
+int RunCliLogging(const std::string& args, std::string* log) {
+  const std::string log_path = TempPath(
+      std::string("cli_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      "_stderr.txt");
+  const std::string command = std::string(SKYEX_CLI_PATH) + " " + args +
+                              " > /dev/null 2> " + log_path;
+  const int status = std::system(command.c_str());
+  std::ifstream in(log_path);
+  log->assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  std::remove(log_path.c_str());
+  return status;
 }
 
 class CliTest : public ::testing::Test {
@@ -88,6 +105,25 @@ TEST_F(CliTest, FullWorkflow) {
   EXPECT_GT(merged.size(), dataset.size() / 2);
 
   EXPECT_EQ(RunCli("eval --in=" + entities_ + " --model=" + model_), 0);
+}
+
+TEST_F(CliTest, CoordinateLessFirstRowStillBlocksWithQuadFlex) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=600 --seed=3 --out=" +
+                entities_),
+            0);
+  skyex::data::Dataset dataset;
+  ASSERT_TRUE(skyex::data::ReadDatasetCsv(entities_, &dataset));
+  dataset.entities.front().location = skyex::geo::GeoPoint::Invalid();
+  ASSERT_TRUE(skyex::data::WriteDatasetCsv(dataset, entities_));
+  std::string log;
+  ASSERT_EQ(RunCliLogging("train --in=" + entities_ +
+                              " --train-fraction=0.08 --seed=5 --model-out=" +
+                              model_,
+                          &log),
+            0);
+  EXPECT_NE(log.find("blocker=\"quadflex\""), std::string::npos) << log;
+  // Not all 600 * 599 / 2 = 179,700 pairs.
+  EXPECT_EQ(log.find("pairs=179700"), std::string::npos) << log;
 }
 
 TEST_F(CliTest, RestaurantsGeneration) {

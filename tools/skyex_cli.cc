@@ -95,8 +95,9 @@ int Usage() {
   return 2;
 }
 
-// Loads the dataset, blocks it (QuadFlex with coordinates, Cartesian
-// without), labels with the ground-truth rule and extracts features.
+// Loads the dataset, blocks it (geo::BlockPoints: QuadFlex when any
+// record has coordinates, Cartesian otherwise), labels with the
+// ground-truth rule and extracts features.
 struct LoadedPipeline {
   skyex::data::Dataset dataset;
   std::vector<skyex::geo::CandidatePair> pairs;
@@ -114,12 +115,8 @@ std::optional<LoadedPipeline> LoadPipeline(const std::string& path) {
       return std::nullopt;
     }
   }
-  const bool has_coordinates =
-      !p.dataset.entities.empty() &&
-      p.dataset.entities.front().location.valid;
-  p.pairs = has_coordinates
-                ? skyex::geo::QuadFlexBlock(p.dataset.Points())
-                : skyex::geo::CartesianBlock(p.dataset.size());
+  const char* blocker = nullptr;
+  p.pairs = skyex::geo::BlockPoints(p.dataset.Points(), &blocker);
   {
     SKYEX_SPAN("data/label_pairs");
     p.labels = skyex::data::LabelPairs(p.dataset, p.pairs);
@@ -127,7 +124,7 @@ std::optional<LoadedPipeline> LoadPipeline(const std::string& path) {
   SKYEX_LOG_INFO("cli/load_pipeline", "loaded and blocked dataset",
                  {"path", path}, {"records", p.dataset.size()},
                  {"pairs", p.pairs.size()},
-                 {"blocker", has_coordinates ? "quadflex" : "cartesian"});
+                 {"blocker", blocker});
   const auto extractor =
       skyex::features::LgmXExtractor::FromCorpus(p.dataset);
   p.features = extractor.Extract(p.dataset, p.pairs);
