@@ -1,22 +1,20 @@
 // Reproduces Figure 3: SkyEx-T runtime (preference training time and
 // skyline ranking time) versus training size on North-DK.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/skyex_t.h"
 #include "eval/sampling.h"
-#include "obs/stopwatch.h"
 #include "obs/trace.h"
 
 namespace {
 
-// Phase split for one Train() call. With observability compiled in, the
-// ranking time comes from the `skyline/sweep_cutoff` span that Train()
-// records internally — no second sweep run needed. Under
-// SKYEX_OBS_DISABLED spans record nothing, so fall back to re-running
-// the sweep (the pre-span measurement trick).
+// Phase split for one Train() call. The ranking time comes from the
+// `skyline/sweep_cutoff` span that Train() records internally — no
+// second sweep run needed.
 struct PhaseSplit {
   double pref_ms = 0.0;
   double rank_ms = 0.0;
@@ -26,7 +24,6 @@ PhaseSplit MeasureTrain(const skyex::core::SkyExT& skyex,
                         const skyex::core::PreparedData& d,
                         const std::vector<size_t>& train_rows) {
   PhaseSplit split;
-#if !defined(SKYEX_OBS_DISABLED)
   auto& collector = skyex::obs::TraceCollector::Global();
   collector.Reset();
   const auto model = skyex.Train(d.features, d.pairs.labels, train_rows);
@@ -39,17 +36,6 @@ PhaseSplit MeasureTrain(const skyex::core::SkyExT& skyex,
   split.rank_ms =
       sweep_it == stats.end() ? 0.0 : sweep_it->second.total_us / 1000.0;
   split.pref_ms = std::max(0.0, total_ms - split.rank_ms);
-#else
-  const skyex::obs::Stopwatch total_watch;
-  const auto model = skyex.Train(d.features, d.pairs.labels, train_rows);
-  const double total_ms = total_watch.ElapsedMillis();
-  const skyex::obs::Stopwatch rank_watch;
-  (void)skyex::core::SweepCutoffOverSkylines(
-      d.features, train_rows, d.pairs.labels, *model.preference,
-      /*tie_tolerance=*/0.985);
-  split.rank_ms = rank_watch.ElapsedMillis();
-  split.pref_ms = std::max(0.0, total_ms - split.rank_ms);
-#endif
   return split;
 }
 
@@ -58,9 +44,7 @@ PhaseSplit MeasureTrain(const skyex::core::SkyExT& skyex,
 int main(int argc, char** argv) {
   const auto config = skyex::bench::ParseFlags(argc, argv);
   const auto d = skyex::bench::PrepareNorthDkBench(config);
-#if !defined(SKYEX_OBS_DISABLED)
   skyex::obs::TraceCollector::Global().SetEnabled(true);
-#endif
 
   std::printf("Figure 3: SkyEx-T training runtime vs training size "
               "(North-DK, averages over repetitions)\n\n");

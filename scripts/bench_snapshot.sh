@@ -15,14 +15,6 @@
 # degenerates to the serial path and speedups hover around 1.0 — the
 # recorded host_cpus field says which case a snapshot captured.
 #
-# Observability-overhead snapshot: compares micro_skyline between the
-# default build (SKYEX_SPAN / counter macros live, collector disabled —
-# the serving configuration) and a SKYEX_OBS=OFF build where the macros
-# compile out, and writes BENCH_obs.json with the per-benchmark
-# overhead of carrying the instrumentation:
-#
-#   scripts/bench_snapshot.sh --obs [obs-on-build-dir] [obs-off-build-dir] [reps]
-#
 # Profiler snapshot: boots skyex_serve twice — sampler off, then armed
 # at 97 Hz — drives each with skyex_loadgen for [reps] timed runs, and
 # writes BENCH_prof.json with the median-throughput overhead of the
@@ -546,88 +538,6 @@ print(f"  throughput: shards=1 {one_med:.1f} req/s, "
       f"noise floor {100 * noise:.2f}%)")
 print(f"  latency p99: shards=1 {one['median_p99_us']:.0f}us, "
       f"shards=4 {four['median_p99_us']:.0f}us")
-EOF
-  exit 0
-fi
-
-if [ "${1:-}" = "--obs" ]; then
-  ON_DIR="${2:-build}"
-  OFF_DIR="${3:-build-obs-off}"
-  REPS="${4:-3}"
-  if [ "$REPS" -lt 3 ]; then REPS=3; fi
-  OUT="BENCH_obs.json"
-  TMP_DIR="$(mktemp -d)"
-  trap 'rm -rf "$TMP_DIR"' EXIT
-  FILTER='BM_PeelFirstSkyline|BM_FullLayering'
-
-  cmake -B "$ON_DIR" -S . >/dev/null
-  cmake --build "$ON_DIR" -j --target micro_skyline
-  cmake -B "$OFF_DIR" -S . -DSKYEX_OBS=OFF >/dev/null
-  cmake --build "$OFF_DIR" -j --target micro_skyline
-
-  for leg in on off; do
-    dir_var="ON_DIR"; [ "$leg" = "off" ] && dir_var="OFF_DIR"
-    echo "=== micro_skyline (obs ${leg}) ==="
-    "${!dir_var}/bench/micro_skyline" --threads=1 \
-      --benchmark_filter="$FILTER" \
-      --benchmark_repetitions="$REPS" \
-      --benchmark_format=json \
-      --benchmark_out="$TMP_DIR/obs_${leg}.json" \
-      --benchmark_out_format=json >/dev/null
-  done
-
-  python3 - "$TMP_DIR" "$REPS" "$OUT" <<'EOF'
-import json, os, sys
-
-tmp_dir, reps, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-
-def load(leg):
-    """name -> {"median": ns, "stddev": ns} from repetition aggregates."""
-    with open(os.path.join(tmp_dir, f"obs_{leg}.json")) as f:
-        report = json.load(f)
-    out = {}
-    for b in report["benchmarks"]:
-        agg = b.get("aggregate_name")
-        if agg not in ("median", "stddev"):
-            continue
-        name = b.get("run_name", b["name"])
-        unit = b.get("time_unit", "ns")
-        scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        out.setdefault(name, {})[agg] = b["real_time"] * scale
-    return out
-
-on, off = load("on"), load("off")
-snapshot = {**json.loads(os.environ["HOST_META"]),
-            "repetitions": reps, "benchmarks": []}
-for name in on:
-    if name not in off:
-        continue
-    on_ns, off_ns = on[name]["median"], off[name]["median"]
-    raw = (on_ns - off_ns) / off_ns if off_ns else 0.0
-    # Clamp at the noise floor: a delta inside the combined stddev of
-    # the two legs is indistinguishable from repetition noise.
-    noise = ((on[name].get("stddev", 0.0) + off[name].get("stddev", 0.0))
-             / off_ns if off_ns else 0.0)
-    snapshot["benchmarks"].append({
-        "name": name,
-        "median_ops_per_sec_obs_on": 1e9 / on_ns if on_ns else 0.0,
-        "median_ops_per_sec_obs_off": 1e9 / off_ns if off_ns else 0.0,
-        # > 0 means the instrumentation costs that fraction of runtime.
-        "span_overhead_fraction": raw if abs(raw) > noise else 0.0,
-        "span_overhead_fraction_raw": raw,
-        "noise_floor_fraction": noise,
-    })
-
-with open(out_path, "w") as f:
-    json.dump(snapshot, f, indent=2)
-    f.write("\n")
-
-print(f"wrote {out_path} ({len(snapshot['benchmarks'])} benchmarks, "
-      f"{reps} reps)")
-for b in snapshot["benchmarks"]:
-    print(f"  {b['name']:<40} overhead "
-          f"{100.0 * b['span_overhead_fraction']:+.2f}% "
-          f"(raw {100.0 * b['span_overhead_fraction_raw']:+.2f}%)")
 EOF
   exit 0
 fi

@@ -15,40 +15,20 @@ BuildInfo GetBuildInfo() {
   BuildInfo info;
   info.git_sha = SKYEX_GIT_SHA;
   info.build_type = SKYEX_BUILD_TYPE;
-#if defined(SKYEX_OBS_DISABLED)
-  info.obs = false;
-#endif
-#if defined(SKYEX_PROF_DISABLED)
-  info.prof = false;
-#endif
-#if defined(SKYEX_FAULTS_DISABLED)
-  info.faults = false;
-#endif
   info.simd_level = text::SimdLevelName(text::ActiveSimdLevel());
   return info;
 }
 
 std::string BuildInfoJson() {
   const BuildInfo info = GetBuildInfo();
-  std::string json = "{\"git_sha\": \"" + info.git_sha +
-                     "\", \"build_type\": \"" + info.build_type +
-                     "\", \"options\": {\"obs\": ";
-  json += info.obs ? "true" : "false";
-  json += ", \"prof\": ";
-  json += info.prof ? "true" : "false";
-  json += ", \"faults\": ";
-  json += info.faults ? "true" : "false";
-  json += "}, \"simd\": \"" + info.simd_level + "\"}";
-  return json;
+  return "{\"git_sha\": \"" + info.git_sha + "\", \"build_type\": \"" +
+         info.build_type + "\", \"simd\": \"" + info.simd_level + "\"}";
 }
 
 std::string VersionLine(std::string_view tool) {
   const BuildInfo info = GetBuildInfo();
   std::string line(tool);
   line += " " + info.git_sha + " (" + info.build_type;
-  line += "; obs=" + std::string(info.obs ? "on" : "off");
-  line += " prof=" + std::string(info.prof ? "on" : "off");
-  line += " faults=" + std::string(info.faults ? "on" : "off");
   line += "; simd=" + info.simd_level + ")";
   return line;
 }

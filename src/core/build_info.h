@@ -3,10 +3,9 @@
 
 // Build identification, so audit logs, bench snapshots and bug reports
 // can pin the exact binary that produced them: the git commit the tree
-// was configured from, the CMake build type, which of the SKYEX_OBS /
-// SKYEX_PROF / SKYEX_FAULTS subsystems are compiled in, and the SIMD
-// dispatch level active on this machine. Served as GET /buildz by
-// skyex_serve and printed by `--version` on every tool.
+// was configured from, the CMake build type, and the SIMD dispatch
+// level active on this machine. Served as GET /buildz by skyex_serve
+// and printed by `--version` on every tool.
 //
 // The git sha is captured at CMake configure time (src/CMakeLists.txt
 // passes it into build_info.cc only); "unknown" when the tree is not a
@@ -21,9 +20,6 @@ namespace skyex::core {
 struct BuildInfo {
   std::string git_sha;     // short commit hash, or "unknown"
   std::string build_type;  // CMAKE_BUILD_TYPE, e.g. "Release"
-  bool obs = true;         // SKYEX_OBS compiled in
-  bool prof = true;        // SKYEX_PROF compiled in
-  bool faults = true;      // SKYEX_FAULTS compiled in
   std::string simd_level;  // active text-kernel dispatch: scalar/sse2/avx2
 };
 
@@ -33,7 +29,7 @@ BuildInfo GetBuildInfo();
 std::string BuildInfoJson();
 
 /// One-line human form for `--version`:
-///   skyex_serve 1a2b3c4d5e6f (Release; obs=on prof=on faults=on; simd=avx2)
+///   skyex_serve 1a2b3c4d5e6f (Release; simd=avx2)
 std::string VersionLine(std::string_view tool);
 
 }  // namespace skyex::core

@@ -26,11 +26,8 @@
 //   errno=N    errno parameter for error injections
 //   seed=N     per-point RNG stream (default: global seed ^ point name)
 //
-// Unarmed cost is one relaxed atomic load behind an inline check; the
-// SKYEX_FAULTS=OFF build (-DSKYEX_FAULTS_DISABLED) compiles every
-// SKYEX_FAULT_FIRE site down to `false` so release binaries carry no
-// fault code at all. The catalog of points lives in
-// docs/robustness.md.
+// Unarmed cost is one relaxed atomic load behind an inline check. The
+// catalog of points lives in docs/robustness.md.
 
 #include <atomic>
 #include <cstdint>
@@ -104,26 +101,10 @@ class Registry {
 /// `error` on a malformed spec.
 bool ArmFromEnv(std::string* error);
 
-/// Always-inline no-op used by the disabled build so call-site
-/// arguments stay "used" (no -Wunused warnings) while the optimizer
-/// removes the whole site.
-inline bool NoFire(FaultAction*) { return false; }
-
 }  // namespace skyex::fault
-
-#if defined(SKYEX_FAULTS_DISABLED)
-
-// Compiled out: the condition folds to `false` and dead-code
-// elimination removes the fault branch entirely.
-#define SKYEX_FAULT_FIRE(point, action_ptr) \
-  (::skyex::fault::NoFire(action_ptr))
-
-#else
 
 #define SKYEX_FAULT_FIRE(point, action_ptr)                  \
   (::skyex::fault::Registry::Global().armed() &&             \
    ::skyex::fault::Registry::Global().Fire(point, action_ptr))
-
-#endif  // SKYEX_FAULTS_DISABLED
 
 #endif  // SKYEX_FAULT_FAULT_H_

@@ -73,9 +73,7 @@ std::vector<size_t> Quadtree::Query(const BoundingBox& box) const {
 void Quadtree::QueryNode(const Node* node, const BoundingBox& box,
                          std::vector<size_t>* out) const {
   if (node == nullptr) return;
-#if !defined(SKYEX_OBS_DISABLED)
   ++query_nodes_visited_;
-#endif
   // Reject nodes that do not intersect the query box.
   if (node->box.max_lat < box.min_lat || node->box.min_lat > box.max_lat ||
       node->box.max_lon < box.min_lon || node->box.min_lon > box.max_lon) {

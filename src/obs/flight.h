@@ -16,9 +16,6 @@
 // (Snapshot/WriteJson) take each slot lock briefly; there is no global
 // lock and no quiescence requirement, so /debug/flight is safe while
 // I/O workers and the linker are live.
-//
-// Like obs/context.h, this API is NOT gated by SKYEX_OBS_DISABLED:
-// flight timelines must survive observability-stripped builds.
 
 #include <cstdint>
 #include <iosfwd>

@@ -2,19 +2,13 @@
 #define SKYEX_OBS_LOG_H_
 
 // Leveled structured logger: one line per event, `key=value` pairs, sunk
-// to stderr by default. Two filters apply:
-//  - compile-time: events below SKYEX_LOG_COMPILED_MIN_LEVEL (an integer
-//    0=debug .. 3=error, default 0) are removed by the optimizer;
-//  - runtime: events below Logger::Global().level() are skipped before
-//    any formatting happens.
+// to stderr by default. Events below Logger::Global().level() are
+// skipped before any formatting happens.
 //
 //   SKYEX_LOG_INFO("pipeline/load_dataset", "loaded dataset",
 //                  {"records", n}, {"pairs", pairs.size()});
 //   => level=info event=pipeline/load_dataset msg="loaded dataset"
 //      records=8000 pairs=102342
-//
-// Compiling with -DSKYEX_OBS_DISABLED turns every SKYEX_LOG_* site into
-// a no-op.
 
 #include <atomic>
 #include <cstdint>
@@ -102,42 +96,21 @@ class Logger {
 
 }  // namespace skyex::obs
 
-#ifndef SKYEX_LOG_COMPILED_MIN_LEVEL
-#define SKYEX_LOG_COMPILED_MIN_LEVEL 0
-#endif
-
-#if defined(SKYEX_OBS_DISABLED)
-
-#define SKYEX_LOG_DEBUG(event, msg, ...) ((void)0)
-#define SKYEX_LOG_INFO(event, msg, ...) ((void)0)
-#define SKYEX_LOG_WARN(event, msg, ...) ((void)0)
-#define SKYEX_LOG_ERROR(event, msg, ...) ((void)0)
-
-#else
-
-#define SKYEX_LOG_AT_LEVEL(level, level_int, event, msg, ...)            \
+#define SKYEX_LOG_AT_LEVEL(level, event, msg, ...)                       \
   do {                                                                   \
-    if constexpr ((level_int) >= SKYEX_LOG_COMPILED_MIN_LEVEL) {         \
-      auto& skyex_obs_logger_ = ::skyex::obs::Logger::Global();          \
-      if (skyex_obs_logger_.Enabled(level)) {                            \
-        skyex_obs_logger_.Log(level, event, msg, {__VA_ARGS__});         \
-      }                                                                  \
+    auto& skyex_obs_logger_ = ::skyex::obs::Logger::Global();            \
+    if (skyex_obs_logger_.Enabled(level)) {                              \
+      skyex_obs_logger_.Log(level, event, msg, {__VA_ARGS__});           \
     }                                                                    \
   } while (0)
 
-#define SKYEX_LOG_DEBUG(event, msg, ...)                                 \
-  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kDebug, 0, event, msg,      \
-                     __VA_ARGS__)
-#define SKYEX_LOG_INFO(event, msg, ...)                                  \
-  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kInfo, 1, event, msg,       \
-                     __VA_ARGS__)
-#define SKYEX_LOG_WARN(event, msg, ...)                                  \
-  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kWarn, 2, event, msg,       \
-                     __VA_ARGS__)
-#define SKYEX_LOG_ERROR(event, msg, ...)                                 \
-  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kError, 3, event, msg,      \
-                     __VA_ARGS__)
-
-#endif  // SKYEX_OBS_DISABLED
+#define SKYEX_LOG_DEBUG(event, msg, ...) \
+  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kDebug, event, msg, __VA_ARGS__)
+#define SKYEX_LOG_INFO(event, msg, ...) \
+  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kInfo, event, msg, __VA_ARGS__)
+#define SKYEX_LOG_WARN(event, msg, ...) \
+  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kWarn, event, msg, __VA_ARGS__)
+#define SKYEX_LOG_ERROR(event, msg, ...) \
+  SKYEX_LOG_AT_LEVEL(::skyex::obs::LogLevel::kError, event, msg, __VA_ARGS__)
 
 #endif  // SKYEX_OBS_LOG_H_

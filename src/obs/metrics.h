@@ -9,10 +9,6 @@
 // Metric names follow the `subsystem/verb_noun` convention, e.g.
 // `skyline/dominance_tests` or `blocking/candidate_pairs` — see
 // docs/observability.md.
-//
-// Compiling with -DSKYEX_OBS_DISABLED turns every SKYEX_COUNTER_*,
-// SKYEX_GAUGE_* and SKYEX_HISTOGRAM_* site into a no-op; the registry API
-// itself stays available so exporters always link.
 
 #include <atomic>
 #include <cstdint>
@@ -158,17 +154,6 @@ class MetricsRegistry {
 
 // --- instrumentation macros -------------------------------------------
 
-#if defined(SKYEX_OBS_DISABLED)
-
-#define SKYEX_COUNTER_ADD(name, n) ((void)0)
-#define SKYEX_COUNTER_INC(name) ((void)0)
-#define SKYEX_GAUGE_SET(name, v) ((void)0)
-#define SKYEX_HISTOGRAM_OBSERVE_US(name, v) ((void)0)
-#define SKYEX_HISTOGRAM_OBSERVE_US_EX(name, v, exemplar_id) ((void)0)
-#define SKYEX_HISTOGRAM_OBSERVE(name, v, bounds) ((void)0)
-
-#else
-
 #define SKYEX_COUNTER_ADD(name, n)                                        \
   do {                                                                    \
     static ::skyex::obs::Counter skyex_obs_counter_ =                     \
@@ -205,7 +190,5 @@ class MetricsRegistry {
                                                              bounds);     \
     skyex_obs_histogram_.Observe(v);                                      \
   } while (0)
-
-#endif  // SKYEX_OBS_DISABLED
 
 #endif  // SKYEX_OBS_METRICS_H_

@@ -11,9 +11,6 @@
 // --trace-out is given) to start recording. Span names must be string
 // literals (or otherwise outlive the collector) and follow the
 // `subsystem/verb_noun` convention.
-//
-// Compiling with -DSKYEX_OBS_DISABLED turns every SKYEX_SPAN site into a
-// no-op; the collector API itself stays available.
 
 #include <atomic>
 #include <chrono>
@@ -121,17 +118,9 @@ double TraceNowUs();
 
 }  // namespace skyex::obs
 
-#if defined(SKYEX_OBS_DISABLED)
-
-#define SKYEX_SPAN(name) ((void)0)
-
-#else
-
 #define SKYEX_OBS_CONCAT_INNER(a, b) a##b
 #define SKYEX_OBS_CONCAT(a, b) SKYEX_OBS_CONCAT_INNER(a, b)
 #define SKYEX_SPAN(name) \
   ::skyex::obs::ScopedSpan SKYEX_OBS_CONCAT(skyex_obs_span_, __LINE__)(name)
-
-#endif  // SKYEX_OBS_DISABLED
 
 #endif  // SKYEX_OBS_TRACE_H_

@@ -112,9 +112,7 @@ bool ThreadPool::TryPop(size_t home, Task* out) {
 }
 
 void ThreadPool::Execute(Task& task) {
-#if !defined(SKYEX_OBS_DISABLED)
   const obs::Stopwatch watch;
-#endif
   task.fn();
   SKYEX_HISTOGRAM_OBSERVE_US("par/task_latency_us", watch.ElapsedMicros());
   SKYEX_COUNTER_INC("par/tasks_executed");

@@ -11,9 +11,8 @@
 #include "obs/metrics.h"
 
 // The operator new/delete replacements below are compiled only when the
-// profiler is on and the build is not sanitized — ASan/TSan install
-// their own interceptors and must keep ownership of the heap.
-#if !defined(SKYEX_PROF_DISABLED)
+// build is not sanitized — ASan/TSan install their own interceptors and
+// must keep ownership of the heap.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 // gcc-style sanitizer detection: hooks off.
 #elif defined(__has_feature)
@@ -24,7 +23,6 @@
 #else
 #define SKYEX_PROF_HEAP_HOOKS 1
 #endif
-#endif  // !SKYEX_PROF_DISABLED
 
 namespace skyex::prof {
 

@@ -15,13 +15,11 @@
 // indexed by Phase — constant-initialized, so allocations during
 // static initialization (before main) account correctly as untagged.
 //
-// The hooks are compiled only when all of these hold (otherwise every
-// entry point below still links but reports zeros / false):
-//   - SKYEX_PROF=ON (no -DSKYEX_PROF_DISABLED);
-//   - not a sanitizer build (ASan/TSan install their own new/delete
-//     interceptors; colliding with them breaks leak checking).
-// Call HeapHooksActive() to know which case a binary is in — the
-// tests skip exactness assertions when hooks are absent.
+// The hooks are compiled out of sanitizer builds (ASan/TSan install
+// their own new/delete interceptors; colliding with them breaks leak
+// checking); every entry point below still links there but reports
+// zeros / false. Call HeapHooksActive() to know which case a binary is
+// in — the tests skip exactness assertions when hooks are absent.
 //
 // The signal-safety story is trivial: the hooks never run inside the
 // SIGPROF handler (it does not allocate), and the handler may safely
@@ -101,17 +99,5 @@ uint8_t SetThreadHeapZone(uint8_t zone);
 }  // namespace internal
 
 }  // namespace skyex::prof
-
-#if defined(SKYEX_PROF_DISABLED)
-
-#define SKYEX_HEAP_ZONE(phase) ((void)0)
-
-#else
-
-#define SKYEX_HEAP_ZONE(phase)                     \
-  ::skyex::prof::HeapZone SKYEX_PROF_CONCAT(       \
-      skyex_prof_heap_zone_, __LINE__)(phase)
-
-#endif  // SKYEX_PROF_DISABLED
 
 #endif  // SKYEX_PROF_HEAP_H_

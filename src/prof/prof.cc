@@ -13,6 +13,7 @@
 #endif
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -47,6 +48,20 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
+// The slot payload is a seqlock's data: the writer stores it between
+// invalidating and committing the ticket, the reader loads it between
+// two ticket checks, both through relaxed atomics. The fences order the
+// payload against the tickets.
+template <typename T>
+T LoadRelaxed(T& field) {
+  return std::atomic_ref<T>(field).load(std::memory_order_relaxed);
+}
+
+template <typename T>
+void StoreRelaxed(T& field, T value) {
+  std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+}
+
 #if defined(__linux__)
 pid_t CurrentTid() {
   return static_cast<pid_t>(::syscall(SYS_gettid));
@@ -65,48 +80,58 @@ const char* PhaseName(Phase phase) {
 SampleRing::SampleRing(size_t capacity)
     : slots_(RoundUpPow2(std::max<size_t>(2, capacity))) {}
 
-Sample* SampleRing::BeginWrite() {
+void SampleRing::Write(const Sample& sample) {
   const uint64_t w = writes_.load(std::memory_order_relaxed);
   Slot& slot = slots_[w & (slots_.size() - 1)];
   // Invalidate before filling: a reader copying this slot sees the
   // ticket change and discards its copy instead of keeping torn data.
-  slot.ticket.store(0, std::memory_order_release);
-  return &slot.sample;
-}
-
-void SampleRing::CommitWrite() {
-  const uint64_t w = writes_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[w & (slots_.size() - 1)];
+  slot.ticket.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  const uint32_t depth = std::min<uint32_t>(sample.depth, Sample::kMaxFrames);
+  StoreRelaxed(slot.sample.request_id, sample.request_id);
+  StoreRelaxed(slot.sample.depth, depth);
+  StoreRelaxed(slot.sample.phase, sample.phase);
+  for (uint32_t i = 0; i < depth; ++i) {
+    StoreRelaxed(slot.sample.frames[i], sample.frames[i]);
+  }
   slot.ticket.store(w + 1, std::memory_order_release);
   writes_.store(w + 1, std::memory_order_release);
 }
 
-void SampleRing::Drain(std::vector<Sample>* out) {
+uint64_t SampleRing::Drain(std::vector<Sample>* out) {
   const uint64_t w = writes_.load(std::memory_order_acquire);
   uint64_t r = read_.load(std::memory_order_relaxed);
+  uint64_t dropped = 0;
   if (w - r > slots_.size()) {
     // The writer lapped us; the oldest (w - r - capacity) samples were
     // overwritten before this drain.
-    dropped_.fetch_add(w - r - slots_.size(), std::memory_order_relaxed);
+    dropped = w - r - slots_.size();
     r = w - slots_.size();
   }
   for (; r < w; ++r) {
     Slot& slot = slots_[r & (slots_.size() - 1)];
-    const uint64_t before = slot.ticket.load(std::memory_order_acquire);
-    if (before != r + 1) {  // overwritten or mid-write
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (slot.ticket.load(std::memory_order_acquire) != r + 1) {
+      ++dropped;  // overwritten or mid-write
       continue;
     }
-    Sample copy = slot.sample;
+    Sample copy{};
+    copy.request_id = LoadRelaxed(slot.sample.request_id);
+    copy.depth = std::min<uint32_t>(LoadRelaxed(slot.sample.depth),
+                                    Sample::kMaxFrames);
+    copy.phase = LoadRelaxed(slot.sample.phase);
+    for (uint32_t i = 0; i < copy.depth; ++i) {
+      copy.frames[i] = LoadRelaxed(slot.sample.frames[i]);
+    }
     std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t after = slot.ticket.load(std::memory_order_relaxed);
-    if (after != r + 1) {  // rewritten while we copied
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (slot.ticket.load(std::memory_order_relaxed) != r + 1) {
+      ++dropped;  // rewritten while we copied
       continue;
     }
     out->push_back(copy);
   }
   read_.store(w, std::memory_order_relaxed);
+  dropped_.fetch_add(dropped, std::memory_order_relaxed);
+  return dropped;
 }
 
 // --- per-thread state + registry --------------------------------------
@@ -134,9 +159,11 @@ struct ThreadState {
 struct ProfRegistry {
   std::mutex mutex;
   std::vector<ThreadState*> threads;
-  // Samples of threads that exited before the last drain, plus their
-  // drop count, folded into the next Drain().
+  // Samples of threads that exited since the last drain, plus the
+  // drops their final drains found, folded into the next Drain().
   std::vector<Sample> retired;
+  uint64_t retired_window_dropped = 0;
+  // Lifetime counts of exited threads' rings.
   uint64_t retired_total = 0;
   uint64_t retired_dropped = 0;
   bool handler_installed = false;
@@ -168,14 +195,16 @@ extern "C" void skyex_prof_sigprof_handler(int, siginfo_t*, void*) {
   SampleRing* ring = state->ring.load(std::memory_order_acquire);
   if (ring == nullptr) return;
   const int saved_errno = errno;
-  Sample* sample = ring->BeginWrite();
+  // Captured on the handler's stack, then copied into the ring: a
+  // concurrent Drain may be reading the slot.
+  Sample sample;
   const int depth =
-      ::backtrace(sample->frames, static_cast<int>(Sample::kMaxFrames));
-  sample->depth = depth > 0 ? static_cast<uint32_t>(depth) : 0;
+      ::backtrace(sample.frames, static_cast<int>(Sample::kMaxFrames));
+  sample.depth = depth > 0 ? static_cast<uint32_t>(depth) : 0;
   const uint8_t phase = state->phase.load(std::memory_order_relaxed);
-  sample->phase = static_cast<Phase>(phase);
-  sample->request_id = state->request_id.load(std::memory_order_relaxed);
-  ring->CommitWrite();
+  sample.phase = static_cast<Phase>(phase);
+  sample.request_id = state->request_id.load(std::memory_order_relaxed);
+  ring->Write(sample);
   g_phase_samples[phase < kPhaseCount ? phase : 0].fetch_add(
       1, std::memory_order_relaxed);
   errno = saved_errno;
@@ -183,7 +212,7 @@ extern "C" void skyex_prof_sigprof_handler(int, siginfo_t*, void*) {
 
 namespace {
 
-#if defined(__linux__) && !defined(SKYEX_PROF_DISABLED)
+#if defined(__linux__)
 
 #ifndef SIGEV_THREAD_ID
 #define SIGEV_THREAD_ID 4
@@ -255,7 +284,7 @@ void InstallHandlerLocked(ProfRegistry* registry) {
   registry->handler_installed = true;
 }
 
-#else  // !__linux__ || SKYEX_PROF_DISABLED
+#else  // !__linux__
 
 bool ArmTimer(ThreadState*, int, std::string* error) {
   if (error != nullptr) *error = "sampling timers unavailable";
@@ -281,7 +310,7 @@ struct ThreadRegistrar {
     t_state = nullptr;
     if (SampleRing* ring = state->ring.load(std::memory_order_relaxed)) {
       registry.retired.reserve(registry.retired.size() + 64);
-      ring->Drain(&registry.retired);
+      registry.retired_window_dropped += ring->Drain(&registry.retired);
       registry.retired_total += ring->total();
       registry.retired_dropped += ring->dropped();
     }
@@ -327,11 +356,9 @@ void CpuProfiler::RegisterCurrentThread() {
 }
 
 bool CpuProfiler::Start(int hz, std::string* error) {
-#if defined(SKYEX_PROF_DISABLED) || !defined(__linux__)
+#if !defined(__linux__)
   (void)hz;
-  if (error != nullptr) {
-    *error = "profiler compiled out (SKYEX_PROF=OFF) or unsupported OS";
-  }
+  if (error != nullptr) *error = "sampling timers unavailable";
   return false;
 #else
   hz = std::clamp(hz, 1, 1000);
@@ -372,17 +399,15 @@ void CpuProfiler::Stop() {
 Profile CpuProfiler::Drain() {
   Profile profile;
   std::vector<Sample> samples;
-  uint64_t dropped = 0;
   {
     ProfRegistry& registry = Registry();
     std::lock_guard<std::mutex> lock(registry.mutex);
     samples.swap(registry.retired);
-    dropped += registry.retired_dropped;
+    profile.dropped = std::exchange(registry.retired_window_dropped, 0);
     for (ThreadState* state : registry.threads) {
       SampleRing* ring = state->ring.load(std::memory_order_relaxed);
       if (ring == nullptr) continue;  // never sampled
-      ring->Drain(&samples);
-      dropped += ring->dropped();
+      profile.dropped += ring->Drain(&samples);
     }
     const auto now = std::chrono::steady_clock::now();
     profile.wall_seconds =
@@ -390,7 +415,6 @@ Profile CpuProfiler::Drain() {
     registry.window_start = now;
   }
   profile.hz = hz_.load(std::memory_order_relaxed);
-  profile.dropped = dropped;  // cumulative, diagnostic
   profile.samples = samples.size();
 
   // Fold identical (phase, stack) samples. vector<void*> compares

@@ -34,15 +34,10 @@
 // Snapshot/drain concurrency contract (mirrors obs/trace.h): Drain()
 // consumes each ring's unread samples while handlers keep writing —
 // a slot being rewritten during the copy fails its seqlock ticket
-// check and is skipped (counted in dropped()), never torn. No
+// check and is skipped (counted as dropped), never torn. No
 // quiescence is required; /debug/pprof/profile collects while the
 // linker and pool are live. Start/Stop are serialized internally;
 // stopping leaves the SIGPROF handler installed but inert.
-//
-// Compiling with -DSKYEX_PROF_DISABLED (CMake -DSKYEX_PROF=OFF) turns
-// the SKYEX_PROF_PHASE / SKYEX_HEAP_ZONE macro sites into no-ops and
-// strips the operator new/delete hooks (prof/heap.h); the API itself
-// stays available so tools and exporters always link.
 
 #include <array>
 #include <atomic>
@@ -84,8 +79,10 @@ struct Sample {
 
 /// Fixed-capacity single-writer ring of samples with per-slot seqlock
 /// tickets. The writer is the owning thread's signal handler; one
-/// concurrent reader (Drain) may consume from any thread. Capacity is
-/// rounded up to a power of two.
+/// concurrent reader (Drain) may consume from any thread. Both sides
+/// touch a slot's payload only through relaxed atomic accesses, so a
+/// copy racing a rewrite is a discarded read, not a data race. Capacity
+/// is rounded up to a power of two.
 class SampleRing {
  public:
   explicit SampleRing(size_t capacity = 4096);
@@ -93,27 +90,28 @@ class SampleRing {
   SampleRing(const SampleRing&) = delete;
   SampleRing& operator=(const SampleRing&) = delete;
 
-  /// Writer side, async-signal-safe: returns the slot to fill, then
-  /// Commit publishes it. Never blocks; overwrites the oldest unread
-  /// sample when the ring is full.
-  Sample* BeginWrite();
-  void CommitWrite();
+  /// Writer side, async-signal-safe: copies `sample` (its first
+  /// `depth` frames) into the next slot and publishes it. Never blocks;
+  /// overwrites the oldest unread sample when the ring is full.
+  void Write(const Sample& sample);
 
   /// Reader side: appends every unread, fully-committed sample to
   /// `out` (oldest first) and advances the read cursor. Samples
   /// overwritten before they were read, or rewritten mid-copy, count
-  /// as dropped. Single reader at a time (the profiler serializes).
-  void Drain(std::vector<Sample>* out);
+  /// as dropped; returns how many this call found. Single reader at a
+  /// time (the profiler serializes).
+  uint64_t Drain(std::vector<Sample>* out);
 
   size_t capacity() const { return slots_.size(); }
   uint64_t total() const { return writes_.load(std::memory_order_relaxed); }
+  /// Lifetime drops: the sum of every Drain's return value.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
   struct Slot {
     // 0 = empty/being written; w+1 = committed by write number w.
     std::atomic<uint64_t> ticket{0};
-    Sample sample;
+    Sample sample;  // accessed only through std::atomic_ref
   };
   std::vector<Slot> slots_;
   std::atomic<uint64_t> writes_{0};  // committed writes
@@ -133,6 +131,9 @@ struct Profile {
   std::vector<Entry> entries;           // sorted by count, descending
   std::array<uint64_t, kPhaseCount> phase_samples{};
   uint64_t samples = 0;
+  // Samples this window lost: overwritten before this Drain read them,
+  // or rewritten while it copied them. CpuProfiler::total_dropped()
+  // keeps the lifetime count.
   uint64_t dropped = 0;
   double wall_seconds = 0.0;
   int hz = 0;
@@ -148,8 +149,7 @@ class CpuProfiler {
 
   /// Starts sampling every registered thread at `hz` (clamped to
   /// [1, 1000]). Idempotent while running (the first rate wins).
-  /// False + `error` when timers are unavailable (non-Linux, or the
-  /// SKYEX_PROF=OFF build).
+  /// False + `error` when timers are unavailable (non-Linux).
   bool Start(int hz = kDefaultHz, std::string* error = nullptr);
 
   /// Disarms every per-thread timer. Buffered samples stay drainable.
@@ -198,9 +198,9 @@ class CpuProfiler {
 /// Collapsed-stack text of a profile (flamegraph.pl compatible): one
 /// `phase;root;...;leaf count` line per unique stack, root first, the
 /// phase name as the synthetic root frame. Frames symbolize via
-/// dladdr + demangling (binaries link with -rdynamic under
-/// SKYEX_PROF=ON so their own symbols resolve); unresolved frames
-/// render as "module+0x<off>" or "0x<pc>".
+/// dladdr + demangling (binaries link with -rdynamic so their own
+/// symbols resolve); unresolved frames render as "module+0x<off>" or
+/// "0x<pc>".
 std::string CollapseProfile(const Profile& profile);
 
 /// JSON form: {"hz","wall_seconds","samples","dropped",
@@ -233,18 +233,10 @@ class PhaseScope {
 
 }  // namespace skyex::prof
 
-#if defined(SKYEX_PROF_DISABLED)
-
-#define SKYEX_PROF_PHASE(phase) ((void)0)
-
-#else
-
 #define SKYEX_PROF_CONCAT_INNER(a, b) a##b
 #define SKYEX_PROF_CONCAT(a, b) SKYEX_PROF_CONCAT_INNER(a, b)
 #define SKYEX_PROF_PHASE(phase)                     \
   ::skyex::prof::PhaseScope SKYEX_PROF_CONCAT(      \
       skyex_prof_phase_, __LINE__)(phase)
-
-#endif  // SKYEX_PROF_DISABLED
 
 #endif  // SKYEX_PROF_PROF_H_

@@ -21,10 +21,6 @@
 // intact frame and stops at the first torn or corrupt one, reporting
 // the remaining bytes as a torn tail instead of failing — a process
 // killed mid-write loses at most the record being written.
-//
-// Everything here is plain library code (always compiled); the serving
-// hooks that FEED it are the part gated by SKYEX_OBS, consistent with
-// the compile-out contract in docs/observability.md.
 
 #include <atomic>
 #include <condition_variable>

@@ -44,16 +44,6 @@ bool Runtime::Enable(const QualityOptions& options,
                      const std::string& model_text, size_t feature_count,
                      std::vector<std::string> feature_names,
                      std::string* error) {
-#if defined(SKYEX_OBS_DISABLED)
-  (void)options;
-  (void)model_text;
-  (void)feature_count;
-  (void)feature_names;
-  if (error != nullptr) {
-    *error = "linkage-quality observability is compiled out (SKYEX_OBS=OFF)";
-  }
-  return false;
-#else
   Disable();
   const uint64_t model_hash = HashModelText(model_text);
   const bool want_audit = !options.audit.path.empty();
@@ -115,7 +105,6 @@ bool Runtime::Enable(const QualityOptions& options,
   drift_on_.store(has_detector, std::memory_order_release);
   enabled_.store(true, std::memory_order_release);
   return true;
-#endif  // SKYEX_OBS_DISABLED
 }
 
 void Runtime::Disable() {
@@ -257,8 +246,7 @@ Runtime::Snapshot Runtime::snapshot() const {
 
 void Runtime::WriteDebugJson(std::ostream& out) const {
   const Snapshot snap = snapshot();
-  out << "{\"compiled\": " << (kQualityCompiledIn ? "true" : "false")
-      << ", \"enabled\": " << (snap.enabled ? "true" : "false");
+  out << "{\"enabled\": " << (snap.enabled ? "true" : "false");
   out << ", \"model_hash\": ";
   WriteEscaped(out, HashHex(snap.model_hash));
   out << ", \"audit\": {\"enabled\": " << (snap.audit ? "true" : "false");

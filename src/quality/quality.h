@@ -8,13 +8,8 @@
 // `quality_drift` flight-recorder marker events, and the
 // GET /debug/quality JSON.
 //
-// Compile-out contract (docs/observability.md): with SKYEX_OBS=OFF the
-// serving hook sites vanish, Enable() refuses with "compiled out", and
-// kQualityCompiledIn is false — but the API (and the audit-log /
-// profile / drift library code) stays linked so offline tools always
-// build. In the default build everything is inert until Enable() is
-// called (skyex_serve does so when --audit-log or a reference profile
-// is given).
+// Everything is inert until Enable() is called (skyex_serve does so
+// when --audit-log or a reference profile is given).
 //
 // Thread-safety: Enable/Disable bracket serving; every other member is
 // safe to call concurrently (the linker thread and per-shard node
@@ -35,12 +30,6 @@
 
 namespace skyex::quality {
 
-#if defined(SKYEX_OBS_DISABLED)
-inline constexpr bool kQualityCompiledIn = false;
-#else
-inline constexpr bool kQualityCompiledIn = true;
-#endif
-
 struct QualityOptions {
   /// audit.path empty leaves the audit log off.
   AuditWriterOptions audit;
@@ -58,9 +47,8 @@ class Runtime {
   /// `model_text` is the served model's model_io text (its hash stamps
   /// every artifact); `feature_count` the LGM-X schema width;
   /// `feature_names` (optional) labels drift output. False + `error`
-  /// when an artifact cannot be opened, the profile's model hash
-  /// disagrees with the served model, or quality observability is
-  /// compiled out (SKYEX_OBS=OFF).
+  /// when an artifact cannot be opened or the profile's model hash
+  /// disagrees with the served model.
   bool Enable(const QualityOptions& options, const std::string& model_text,
               size_t feature_count, std::vector<std::string> feature_names,
               std::string* error);
@@ -115,8 +103,8 @@ class Runtime {
   };
   Snapshot snapshot() const;
 
-  /// The GET /debug/quality body: a JSON object with "compiled",
-  /// "enabled", "audit" and "drift" members (docs/observability.md).
+  /// The GET /debug/quality body: a JSON object with "enabled",
+  /// "audit" and "drift" members (docs/observability.md).
   void WriteDebugJson(std::ostream& out) const;
 
   Runtime(const Runtime&) = delete;

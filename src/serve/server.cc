@@ -327,9 +327,7 @@ HttpResponse Server::Dispatch(const HttpRequest& request,
     obs::PublishProcessGauges();
     prof::PublishHeapGauges();
     if (backend_ != nullptr) backend_->PublishGauges();
-#if !defined(SKYEX_OBS_DISABLED)
     quality::Runtime::Global().PublishMetrics();
-#endif
     std::ostringstream out;
     HttpResponse response;
     if (format == "prometheus") {

@@ -54,12 +54,11 @@
 //        (e.g. drive N-1 load connections against N workers).
 //   GET  /debug/pprof/heap                    -> per-zone heap
 //        attribution JSON (prof/heap.h); "active":false when the
-//        allocation hooks are compiled out
+//        allocation hooks are compiled out (sanitizer builds)
 //   GET  /buildz                              -> build identification
-//        JSON (git sha, build type, compiled-in options, SIMD level)
+//        JSON (git sha, build type, SIMD level)
 //   GET  /debug/quality                       -> linkage-quality state
-//        JSON (audit-log counters, drift statistics); "compiled":false
-//        under SKYEX_OBS=OFF
+//        JSON (audit-log counters, drift statistics)
 //
 // Request-scoped tracing: every request gets a 64-bit request id —
 // adopted from an incoming X-Request-Id header (hex ids parse exactly,

@@ -228,7 +228,6 @@ std::vector<LinkResult> LinkService::LinkMany(
     for (const data::SpatialEntity& entity : entities) {
       LinkResult result;
       core::AddRecordStats add_stats;
-#if !defined(SKYEX_OBS_DISABLED)
       // Linkage-quality hooks (no-ops until skyex_serve enables the
       // quality runtime): entity-level drift observation for every
       // request, full decision capture for sampled ones.
@@ -242,10 +241,6 @@ std::vector<LinkResult> LinkService::LinkMany(
       if (capturing) {
         quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
       }
-#else
-      std::vector<core::ScoredMatch> matches = linker_.MatchRecord(
-          entity, stats != nullptr ? &add_stats : nullptr);
-#endif
       linker_.Append(entity);
       if (stats != nullptr) {
         stats->extract_us += add_stats.candidates_us + add_stats.prefilter_us;
@@ -299,7 +294,6 @@ std::vector<ScoredLink> LinkService::MatchScored(
   std::vector<ScoredLink> links;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-#if !defined(SKYEX_OBS_DISABLED)
     // Shard-path quality hooks. Entity drift is observed on the owner
     // only (persist == true) so a scatter to k shards counts once.
     quality::Runtime& quality_runtime = quality::Runtime::Global();
@@ -311,10 +305,6 @@ std::vector<ScoredLink> LinkService::MatchScored(
     if (capturing) {
       quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
     }
-#else
-    const std::vector<core::ScoredMatch> matches =
-        linker_.MatchRecord(entity, stats);
-#endif
     const data::Dataset& dataset = linker_.dataset();
     links.reserve(matches.size());
     for (const core::ScoredMatch& m : matches) {
@@ -336,7 +326,6 @@ std::vector<LinkResult> LinkService::LinkDegraded(
   results.reserve(entities.size());
   std::lock_guard<std::mutex> lock(degraded_mutex_);
   for (const data::SpatialEntity& entity : entities) {
-#if !defined(SKYEX_OBS_DISABLED)
     // Degraded answers audit as decision-less records: the entity was
     // served but the model never scored it.
     quality::Runtime& quality_runtime = quality::Runtime::Global();
@@ -344,7 +333,6 @@ std::vector<LinkResult> LinkService::LinkDegraded(
     if (quality_runtime.ShouldCapture()) {
       quality_runtime.RecordDegraded(entity, shard_id_);
     }
-#endif
     LinkResult result;
     result.degraded = true;
     // Where the record *would* land; nothing is actually appended.

@@ -67,9 +67,7 @@ SkylinePeeler::~SkylinePeeler() {
 }
 
 Comparison SkylinePeeler::CompareRows(size_t a, size_t b) const {
-#if !defined(SKYEX_OBS_DISABLED)
   ++dominance_tests_;
-#endif
   const double* ra = matrix_.Row(a);
   const double* rb = matrix_.Row(b);
   if (compiled_.has_value()) return compiled_->Compare(ra, rb);
@@ -207,20 +205,14 @@ std::vector<size_t> SkylinePeeler::PeelPresortedParallel() {
     }
   }
   order_ = std::move(survivors);
-#if !defined(SKYEX_OBS_DISABLED)
   dominance_tests_ += tests;
-#else
-  (void)tests;
-#endif
   return window;
 }
 
 std::vector<size_t> SkylinePeeler::Next() {
   if (order_.empty()) return {};
   SKYEX_PROF_PHASE(::skyex::prof::Phase::kSkyline);
-#if !defined(SKYEX_OBS_DISABLED)
   const obs::Stopwatch layer_watch;
-#endif
 
   std::vector<size_t> window;
   if (presorted_ && order_.size() >= kParallelMinRows &&

@@ -1,8 +1,6 @@
 #include "text/similarity_registry.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "text/edit_distance.h"
 #include "text/jaro.h"
@@ -53,22 +51,7 @@ double RefSoftJaccardDefault(std::string_view a, std::string_view b) {
   return reference::SoftJaccardSimilarity(a, b);
 }
 
-// -1 = not yet initialized (consult SKYEX_TEXT_KERNELS on first read).
-std::atomic<int> g_kernel_impl{-1};
-
-KernelImpl ActiveKernelImplSlow() {
-  const char* env = std::getenv("SKYEX_TEXT_KERNELS");
-  const KernelImpl impl =
-      (env != nullptr && std::strcmp(env, "reference") == 0)
-          ? KernelImpl::kReference
-          : KernelImpl::kOptimized;
-  int expected = -1;
-  if (g_kernel_impl.compare_exchange_strong(expected, static_cast<int>(impl),
-                                            std::memory_order_relaxed)) {
-    return impl;
-  }
-  return static_cast<KernelImpl>(expected);
-}
+std::atomic<KernelImpl> g_kernel_impl{KernelImpl::kOptimized};
 
 std::vector<NamedSimilarity> FilterSortable(
     const std::vector<NamedSimilarity>& basic) {
@@ -120,13 +103,11 @@ const std::vector<NamedSimilarity>& BasicTable(KernelImpl impl) {
 }  // namespace
 
 void SetKernelImpl(KernelImpl impl) {
-  g_kernel_impl.store(static_cast<int>(impl), std::memory_order_relaxed);
+  g_kernel_impl.store(impl, std::memory_order_relaxed);
 }
 
 KernelImpl ActiveKernelImpl() {
-  const int cached = g_kernel_impl.load(std::memory_order_relaxed);
-  if (cached >= 0) return static_cast<KernelImpl>(cached);
-  return ActiveKernelImplSlow();
+  return g_kernel_impl.load(std::memory_order_relaxed);
 }
 
 const std::vector<NamedSimilarity>& BasicSimilarities() {

@@ -38,10 +38,9 @@ enum class KernelImpl : int {
   kReference = 1,
 };
 
-/// Switches the registry between implementations. Intended for startup /
-/// tests; not synchronized against concurrent extraction. Also settable via
-/// the SKYEX_TEXT_KERNELS environment variable ("reference") before first
-/// use.
+/// Switches the registry between implementations (kOptimized until set).
+/// Intended for startup / tests; not synchronized against concurrent
+/// extraction.
 void SetKernelImpl(KernelImpl impl);
 KernelImpl ActiveKernelImpl();
 

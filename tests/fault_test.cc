@@ -12,11 +12,6 @@
 
 #include "fault/fault.h"
 
-// In a SKYEX_FAULTS=OFF build the macro under test compiles to a no-op,
-// so these tests are vacuous there; fault_disabled_test covers that
-// configuration instead.
-#if !defined(SKYEX_FAULTS_DISABLED)
-
 namespace skyex {
 namespace {
 
@@ -259,5 +254,3 @@ TEST_F(FaultTest, EmptySpecAndEmptyEntriesAreFine) {
 
 }  // namespace
 }  // namespace skyex
-
-#endif  // !SKYEX_FAULTS_DISABLED

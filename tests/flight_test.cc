@@ -1,9 +1,5 @@
 // Tests for the tail-latency flight recorder: ring wraparound, top-K
 // retention, marker events, JSON parse-back, and concurrent recording.
-//
-// Uses the direct API only — like obs/context.h, the flight recorder is
-// deliberately NOT gated by SKYEX_OBS_DISABLED, so this suite must pass
-// unchanged in SKYEX_OBS=OFF builds.
 
 #include <algorithm>
 #include <set>

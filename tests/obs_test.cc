@@ -2,10 +2,8 @@
 // span collection and nesting, Chrome-trace JSON parse-back, structured
 // log filtering and the JSON validator itself.
 //
-// Uses the direct API (ScopedSpan, handles, Logger::Log) rather than the
-// SKYEX_* macros so the suite also passes in SKYEX_OBS=OFF builds where
-// the macros compile out; macro behavior is asserted in the gated tests
-// at the bottom and in obs_disabled_test.cc.
+// Most cases use the direct API (ScopedSpan, handles, Logger::Log); the
+// SKYEX_* macro sites are asserted in the macro section at the bottom.
 
 #include <algorithm>
 #include <atomic>
@@ -601,9 +599,7 @@ TEST_F(ObsTest, PrometheusExemplarTracksLatestObservation) {
   EXPECT_EQ(text.find(FormatRequestId(0xaaaau)), std::string::npos);
 }
 
-// --- macro sites (compiled out under SKYEX_OBS_DISABLED) --------------
-
-#if !defined(SKYEX_OBS_DISABLED)
+// --- macro sites ------------------------------------------------------
 
 TEST_F(ObsTest, CounterMacroRegistersAndCaches) {
   for (int i = 0; i < 3; ++i) SKYEX_COUNTER_ADD("test/macro_counter", 2);
@@ -635,8 +631,6 @@ TEST_F(ObsTest, LogMacroFiltersByRuntimeLevel) {
   EXPECT_NE(captured.find("level=warn"), std::string::npos);
   EXPECT_NE(captured.find("level=error"), std::string::npos);
 }
-
-#endif  // !SKYEX_OBS_DISABLED
 
 // --- JSON parser ------------------------------------------------------
 

@@ -2,8 +2,7 @@
 // and seqlock behavior, PhaseScope/HeapZone nesting, exact per-zone
 // allocation accounting, signal-storm safety under ParallelFor, and
 // the collapsed-stack / JSON export formats. Tests that need live
-// timers GTEST_SKIP when the platform refuses them (non-Linux, or a
-// SKYEX_PROF=OFF library build).
+// timers GTEST_SKIP when the platform refuses them (non-Linux).
 
 #include <gtest/gtest.h>
 
@@ -48,19 +47,28 @@ class ProfTest : public ::testing::Test {
   }
 };
 
+// A sample whose every frame is `id`, so a torn copy would show.
+prof::Sample MakeSample(uint64_t id, uint32_t depth) {
+  prof::Sample sample;
+  sample.request_id = id;
+  sample.depth = depth;
+  for (uint32_t i = 0; i < depth; ++i) {
+    sample.frames[i] = reinterpret_cast<void*>(id);
+  }
+  return sample;
+}
+
 TEST_F(ProfTest, RingDeliversCommittedSamplesInOrder) {
   prof::SampleRing ring(8);
-  for (uint64_t i = 0; i < 5; ++i) {
-    prof::Sample* slot = ring.BeginWrite();
-    slot->request_id = i;
-    slot->depth = 1;
-    slot->frames[0] = reinterpret_cast<void*>(i);
-    ring.CommitWrite();
-  }
+  for (uint64_t i = 0; i < 5; ++i) ring.Write(MakeSample(i, 1));
   std::vector<prof::Sample> out;
-  ring.Drain(&out);
+  EXPECT_EQ(ring.Drain(&out), 0u);
   ASSERT_EQ(out.size(), 5u);
-  for (uint64_t i = 0; i < 5; ++i) EXPECT_EQ(out[i].request_id, i);
+  for (uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(out[i].request_id, i);
+    EXPECT_EQ(out[i].depth, 1u);
+    EXPECT_EQ(out[i].frames[0], reinterpret_cast<void*>(i));
+  }
   EXPECT_EQ(ring.dropped(), 0u);
 
   // A second drain finds nothing new.
@@ -72,14 +80,9 @@ TEST_F(ProfTest, RingDeliversCommittedSamplesInOrder) {
 TEST_F(ProfTest, RingWraparoundKeepsNewestAndCountsDropped) {
   prof::SampleRing ring(8);  // capacity rounds to 8
   ASSERT_EQ(ring.capacity(), 8u);
-  for (uint64_t i = 0; i < 20; ++i) {
-    prof::Sample* slot = ring.BeginWrite();
-    slot->request_id = i;
-    slot->depth = 0;
-    ring.CommitWrite();
-  }
+  for (uint64_t i = 0; i < 20; ++i) ring.Write(MakeSample(i, 0));
   std::vector<prof::Sample> out;
-  ring.Drain(&out);
+  EXPECT_EQ(ring.Drain(&out), 12u);
   // The oldest 12 were overwritten; the newest 8 survive in order.
   ASSERT_EQ(out.size(), 8u);
   for (size_t i = 0; i < out.size(); ++i) {
@@ -89,35 +92,65 @@ TEST_F(ProfTest, RingWraparoundKeepsNewestAndCountsDropped) {
   EXPECT_EQ(ring.total(), 20u);
 }
 
+// Drops belong to the drain that finds them: samples a ring lost before
+// a window opened (the DiscardPending() drain) are not reported again by
+// the drain that closes the window. The lifetime count keeps them.
+TEST_F(ProfTest, RingLappedBeforeDiscardReportsNoDropsToTheNextWindow) {
+  prof::SampleRing ring(8);
+  for (uint64_t i = 0; i < 20; ++i) ring.Write(MakeSample(i, 0));
+  std::vector<prof::Sample> out;
+  EXPECT_EQ(ring.Drain(&out), 12u);  // discarded: the window opens
+  out.clear();
+  for (uint64_t i = 20; i < 23; ++i) ring.Write(MakeSample(i, 0));
+  EXPECT_EQ(ring.Drain(&out), 0u);  // the window closes
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].request_id, 20u);
+  EXPECT_EQ(ring.dropped(), 12u);
+  EXPECT_EQ(ring.total(), 23u);
+}
+
 TEST_F(ProfTest, RingConcurrentWriteDrainLosesNothingButTornSlots) {
   prof::SampleRing ring(64);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> written{0};
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      prof::Sample* slot = ring.BeginWrite();
-      slot->request_id = written.load(std::memory_order_relaxed);
-      slot->depth = prof::Sample::kMaxFrames;  // maximize copy window
-      ring.CommitWrite();
+      // Full depth maximizes the copy window.
+      ring.Write(MakeSample(written.load(std::memory_order_relaxed),
+                            prof::Sample::kMaxFrames));
       written.fetch_add(1, std::memory_order_relaxed);
     }
   });
   uint64_t drained = 0;
+  uint64_t dropped = 0;
+  uint64_t torn = 0;
   std::vector<prof::Sample> out;
-  for (int i = 0; i < 200; ++i) {
+  auto drain = [&] {
     out.clear();
-    ring.Drain(&out);
+    dropped += ring.Drain(&out);
     drained += out.size();
+    for (const prof::Sample& sample : out) {
+      for (uint32_t i = 0; i < sample.depth; ++i) {
+        if (sample.frames[i] != reinterpret_cast<void*>(sample.request_id)) {
+          ++torn;
+          break;
+        }
+      }
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    drain();
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   stop.store(true);
   writer.join();
-  out.clear();
-  ring.Drain(&out);
-  drained += out.size();
+  drain();
   // Conservation: every committed write is either delivered or counted
-  // dropped (overwritten / torn), never silently lost.
+  // dropped (overwritten / torn), never silently lost; the per-drain
+  // counts add up to the lifetime one.
   EXPECT_EQ(drained + ring.dropped(), written.load());
+  EXPECT_EQ(dropped, ring.dropped());
+  EXPECT_EQ(torn, 0u);
 }
 
 TEST_F(ProfTest, PhaseScopeNestsAndRestores) {
@@ -167,8 +200,7 @@ TEST_F(ProfTest, PhaseFollowsPoolTasks) {
 
 TEST_F(ProfTest, HeapZoneAttributionIsExact) {
   if (!prof::HeapHooksActive()) {
-    GTEST_SKIP() << "allocation hooks compiled out (sanitizer or "
-                    "SKYEX_PROF=OFF build)";
+    GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
   }
   constexpr size_t kBytes = 1 << 20;
   const prof::HeapZoneStats before =

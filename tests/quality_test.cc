@@ -586,10 +586,7 @@ TEST(ProfileTest, EntityNameLengthTracksName) {
 
 // --- the runtime ------------------------------------------------------
 
-#if !defined(SKYEX_OBS_DISABLED)
-
 TEST(QualityRuntimeTest, EnableCaptureDisable) {
-  static_assert(kQualityCompiledIn, "default build compiles quality in");
   Runtime& runtime = Runtime::Global();
   runtime.Disable();  // clean slate whatever ran before
 
@@ -652,7 +649,6 @@ TEST(QualityRuntimeTest, EnableCaptureDisable) {
   std::ostringstream json;
   runtime.WriteDebugJson(json);
   const std::string body = json.str();
-  EXPECT_NE(body.find("\"compiled\": true"), std::string::npos) << body;
   EXPECT_NE(body.find("\"enabled\": true"), std::string::npos) << body;
   EXPECT_NE(body.find(HashHex(model_hash)), std::string::npos) << body;
 
@@ -706,22 +702,6 @@ TEST(QualityRuntimeTest, DisabledRuntimeIsInert) {
   const Runtime::Snapshot snap = runtime.snapshot();
   EXPECT_FALSE(snap.enabled);
 }
-
-#else  // SKYEX_OBS_DISABLED
-
-TEST(QualityRuntimeTest, EnableRefusesWhenCompiledOut) {
-  static_assert(!kQualityCompiledIn, "");
-  Runtime& runtime = Runtime::Global();
-  QualityOptions options;
-  options.audit.path = TempPath("skyex_quality_off_audit.bin");
-  std::string error;
-  EXPECT_FALSE(runtime.Enable(options, "model", 3, {}, &error));
-  EXPECT_NE(error.find("compiled out"), std::string::npos) << error;
-  EXPECT_FALSE(runtime.enabled());
-  EXPECT_FALSE(runtime.ShouldCapture());
-}
-
-#endif  // SKYEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace skyex::quality

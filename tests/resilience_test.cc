@@ -4,8 +4,7 @@
 // failures and recovering through a half-open probe, the watchdog
 // flagging a wedged linker on /healthz, and socket-level fault points
 // (short reads, EINTR, slow I/O) leaving request handling correct.
-// Server-level fault scenarios are driven by the src/fault/ registry,
-// so they are skipped in a SKYEX_FAULTS_DISABLED build.
+// Server-level fault scenarios are driven by the src/fault/ registry.
 
 #include <gtest/gtest.h>
 
@@ -125,8 +124,6 @@ TEST(CircuitBreakerTest, DisabledBreakerAlwaysAdmits) {
   EXPECT_TRUE(breaker.Admit(0));
   EXPECT_EQ(breaker.opens(), 0u);
 }
-
-#if !defined(SKYEX_FAULTS_DISABLED)
 
 // ---------------------------------------------------------------------
 // End-to-end scenarios: a real server on an ephemeral port with fault
@@ -464,8 +461,6 @@ TEST_F(ResilienceTest, DrainCompletesWithFaultsStillArmed) {
   // a hang here fails via the gtest binary timeout.
   ts.server->Stop();
 }
-
-#endif  // !SKYEX_FAULTS_DISABLED
 
 }  // namespace
 }  // namespace skyex

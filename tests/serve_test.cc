@@ -535,8 +535,6 @@ TEST(ServeTest, DebugFlightShowsTheRequestWithPhases) {
             0.0);
 }
 
-#if !defined(SKYEX_OBS_DISABLED)
-
 // ------------------------------------------------ live exposition
 
 TEST(ServeTest, PrometheusScrapeCarriesRequestExemplars) {
@@ -613,8 +611,6 @@ TEST(ServeTest, DebugTraceRejectsBadSeconds) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 400);
 }
-
-#endif  // !SKYEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace skyex

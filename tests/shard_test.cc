@@ -376,7 +376,6 @@ TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   ASSERT_TRUE(umodel.has_value());
   EXPECT_EQ(model->body, umodel->body);
 
-#if !defined(SKYEX_OBS_DISABLED)
   const auto metrics = client.Request("GET", "/metrics");
   ASSERT_TRUE(metrics.has_value());
   const auto metrics_json = obs::json::Parse(metrics->body, &error);
@@ -394,10 +393,7 @@ TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   }
   EXPECT_EQ(records_across_gauges,
             static_cast<double>(TrainOnce().dataset.size()));
-#endif
 }
-
-#if !defined(SKYEX_FAULTS_DISABLED)
 
 TEST(ShardServeTest, FailedShardDegradesInsteadOfFailing) {
   TestDeployment sharded = StartSharded(2);
@@ -449,8 +445,6 @@ TEST(ShardServeTest, AllShardsFailingFallsBackToTheBareEntity) {
   // The merged record falls back to the entity itself.
   EXPECT_EQ(json->Find("merged")->Find("name")->string_v, entity.name);
 }
-
-#endif  // !defined(SKYEX_FAULTS_DISABLED)
 
 }  // namespace
 }  // namespace skyex

@@ -1,4 +1,4 @@
-# Chaos suite, run as a ctest (only when SKYEX_FAULTS=ON):
+# Chaos suite, run as a ctest:
 #   generate a small North-DK -> `skyex train` -> boot skyex_serve with
 #   an armed SKYEX_FAULT_SPEC (socket errors, short reads/writes, EINTR,
 #   slow I/O, a scripted linker stall, injected allocation failures and
@@ -69,20 +69,14 @@ string(APPEND fault_spec ";serve.alloc:p=0.01,seed=17")
 string(APPEND fault_spec ";serve.clock_skew:p=0.05,ms=150,seed=18")
 string(APPEND fault_spec ";linker.stall:after=40,times=1,ms=1200")
 
-# With the profiler compiled in (CHAOS_PROF, from SKYEX_PROF) the server
-# also runs the 97 Hz sampler so we can scrape a profile mid-storm.
-set(profile_flag "")
-if(CHAOS_PROF)
-  set(profile_flag "--profile-hz=97")
-endif()
-
-# Boot the server with the schedule armed, deadlines + watchdog on.
+# Boot the server with the schedule armed, deadlines + watchdog on, and
+# the 97 Hz sampler running so we can scrape a profile mid-storm.
 execute_process(
   COMMAND bash -c "SKYEX_FAULT_SPEC='${fault_spec}' '${SKYEX_SERVE}' \
 --model='${model_txt}' --dataset='${entities_csv}' --port=0 \
 --port-file='${port_file}' --workers=4 --queue-depth=64 \
 --deadline-ms=250 --watchdog-ms=400 --breaker-open-ms=500 \
-${profile_flag} \
+--profile-hz=97 \
 --log-level=info >'${serve_log}' 2>&1 & echo $! > '${pid_file}'"
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -117,20 +111,18 @@ message(STATUS "chaos: server up on port ${port} (pid ${server_pid}), "
 # the storm's ramp-up, then GET /debug/pprof/profile?seconds=2 over raw
 # /dev/tcp (HTTP/1.0 so the body ends at close). The fault schedule is
 # armed on this connection too, so retry up to three times.
-if(CHAOS_PROF)
-  set(scrape_pid_file "${WORK_DIR}/scrape.pid")
-  set(scrape_http "${WORK_DIR}/profile.http")
-  execute_process(
-    COMMAND bash -c "( sleep 2; for i in 1 2 3; do \
+set(scrape_pid_file "${WORK_DIR}/scrape.pid")
+set(scrape_http "${WORK_DIR}/profile.http")
+execute_process(
+  COMMAND bash -c "( sleep 2; for i in 1 2 3; do \
 bash -c \"exec 3<>/dev/tcp/127.0.0.1/${port}; \
 printf 'GET /debug/pprof/profile?seconds=2 HTTP/1.0\\r\\n\\r\\n' >&3; \
 cat <&3\" > '${scrape_http}' 2>/dev/null; \
 grep -Eq '^[^ ]+ [0-9]+\\r?$' '${scrape_http}' && break; sleep 1; \
 done ) >/dev/null 2>&1 & echo $! > '${scrape_pid_file}'"
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    chaos_fail("could not launch profile scrape (${rc})")
-  endif()
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  chaos_fail("could not launch profile scrape (${rc})")
 endif()
 
 # The storm. skyex_chaos exits non-zero if fewer than 99% of admitted
@@ -151,40 +143,38 @@ endif()
 
 # The mid-storm scrape must have produced a valid non-empty
 # collapsed-stack profile while the server weathered the storm.
-if(CHAOS_PROF)
-  foreach(attempt RANGE 75)
-    file(READ "${scrape_pid_file}" scrape_pid)
-    string(STRIP "${scrape_pid}" scrape_pid)
-    execute_process(COMMAND bash -c "kill -0 ${scrape_pid} 2>/dev/null"
-                    RESULT_VARIABLE scraping)
-    if(NOT scraping EQUAL 0)
-      break()
-    endif()
-    execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.2)
-  endforeach()
-  if(NOT EXISTS "${scrape_http}")
-    chaos_fail("mid-storm profile scrape produced no response")
+foreach(attempt RANGE 75)
+  file(READ "${scrape_pid_file}" scrape_pid)
+  string(STRIP "${scrape_pid}" scrape_pid)
+  execute_process(COMMAND bash -c "kill -0 ${scrape_pid} 2>/dev/null"
+                  RESULT_VARIABLE scraping)
+  if(NOT scraping EQUAL 0)
+    break()
   endif()
-  file(READ "${scrape_http}" scrape_response)
-  if(NOT scrape_response MATCHES "200 OK")
-    chaos_fail("mid-storm profile scrape did not return 200; "
-               "see ${scrape_http}")
-  endif()
-  # Count stack lines with grep: demangled frames contain spaces and
-  # ';', which CMake list handling would mangle.
-  execute_process(
-    COMMAND bash -c "grep -cE ' [0-9]+\r?$' '${scrape_http}'"
-    OUTPUT_VARIABLE stack_count OUTPUT_STRIP_TRAILING_WHITESPACE)
-  if(stack_count STREQUAL "")
-    set(stack_count 0)
-  endif()
-  if(stack_count EQUAL 0)
-    chaos_fail("mid-storm profile has no collapsed stacks; "
-               "see ${scrape_http}")
-  endif()
-  message(STATUS "chaos: mid-storm profile scraped "
-                 "(${stack_count} collapsed stacks)")
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.2)
+endforeach()
+if(NOT EXISTS "${scrape_http}")
+  chaos_fail("mid-storm profile scrape produced no response")
 endif()
+file(READ "${scrape_http}" scrape_response)
+if(NOT scrape_response MATCHES "200 OK")
+  chaos_fail("mid-storm profile scrape did not return 200; "
+             "see ${scrape_http}")
+endif()
+# Count stack lines with grep: demangled frames contain spaces and
+# ';', which CMake list handling would mangle.
+execute_process(
+  COMMAND bash -c "grep -cE ' [0-9]+\r?$' '${scrape_http}'"
+  OUTPUT_VARIABLE stack_count OUTPUT_STRIP_TRAILING_WHITESPACE)
+if(stack_count STREQUAL "")
+  set(stack_count 0)
+endif()
+if(stack_count EQUAL 0)
+  chaos_fail("mid-storm profile has no collapsed stacks; "
+             "see ${scrape_http}")
+endif()
+message(STATUS "chaos: mid-storm profile scraped "
+               "(${stack_count} collapsed stacks)")
 
 # Drain under fire: the schedule is still armed while we SIGTERM.
 execute_process(COMMAND bash -c "kill -TERM ${server_pid}"

@@ -163,7 +163,7 @@ boot_server("${audit_log}" "${serve_log}")
 message(STATUS "quality_suite: server up on port ${port} (pid ${server_pid})")
 
 fetch("/buildz" buildz)
-foreach(key git_sha build_type options simd)
+foreach(key git_sha build_type simd)
   if(NOT buildz MATCHES "\"${key}\"")
     quality_fail("/buildz body lacks ${key}: ${buildz}")
   endif()
@@ -210,8 +210,7 @@ message(STATUS "quality_suite: baseline calm — written=${audit_written} "
                "psi_name_len=${psi_name_len}")
 
 fetch("/debug/quality" debug_quality)
-foreach(pattern "\"compiled\": true" "\"enabled\": true"
-        "\"sample_every\": 1" "\"trips\": 0")
+foreach(pattern "\"enabled\": true" "\"sample_every\": 1" "\"trips\": 0")
   if(NOT debug_quality MATCHES "${pattern}")
     quality_fail("/debug/quality lacks '${pattern}': ${debug_quality}")
   endif()

@@ -1,4 +1,4 @@
-# Sharded-serving suite, run as a ctest (only when SKYEX_FAULTS=ON):
+# Sharded-serving suite, run as a ctest:
 #
 # Leg 1 (smoke): boot `skyex_serve --shards=4`, validate every endpoint
 #   with `skyex_loadgen --smoke`, drive a region-skewed closed-loop run

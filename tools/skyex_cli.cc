@@ -181,7 +181,6 @@ int CmdTrain(const Flags& flags) {
     return 1;
   }
   std::printf("model written to %s\n", out.c_str());
-#if !defined(SKYEX_OBS_DISABLED)
   // Reference profile for serve-time drift detection (skipped with
   // --no-profile): the feature/score/entity distributions the model was
   // trained against, bound to the model by its model_io text hash.
@@ -208,7 +207,6 @@ int CmdTrain(const Flags& flags) {
       std::printf("reference profile written to %s\n", profile_out.c_str());
     }
   }
-#endif
   return 0;
 }
 

@@ -413,10 +413,6 @@ int RunSmoke(const std::string& host, uint16_t port, int timeout_ms,
               "/metrics answers 200");
   const auto metrics_json = Parse(metrics->body, &error);
   SMOKE_CHECK(metrics_json.has_value(), "/metrics body is valid JSON");
-#if !defined(SKYEX_OBS_DISABLED)
-  // Metric *content* only exists when observability is compiled in;
-  // the obs-off CI job still runs this smoke for the structural checks
-  // above (request ids and flight timelines are not macro-gated).
   const auto* counters = metrics_json->Find("counters");
   SMOKE_CHECK(counters != nullptr &&
                   counters->Find("serve/http_requests") != nullptr &&
@@ -440,7 +436,6 @@ int RunSmoke(const std::string& host, uint16_t port, int timeout_ms,
                   prom->body.find("# TYPE skyex_serve_http_requests "
                                   "counter") != std::string::npos,
               "/metrics?format=prometheus serves text format");
-#endif
 
   const auto flight = client.Request("GET", "/debug/flight");
   SMOKE_CHECK(flight.has_value() && flight->status == 200,

@@ -290,8 +290,7 @@ int main(int argc, char** argv) {
   }
   // Linkage-quality observability: explicit flags always win; otherwise
   // a MODEL.profile written by `skyex train` is picked up automatically
-  // (suppressed by --no-quality, and never attempted when quality
-  // observability is compiled out).
+  // (suppressed by --no-quality).
   {
     skyex::quality::QualityOptions quality_options;
     quality_options.audit.path = flags->Get("audit-log");
@@ -308,8 +307,7 @@ int main(int argc, char** argv) {
         flags->GetDouble("psi-threshold", 0.25);
     quality_options.drift.ks_threshold =
         flags->GetDouble("ks-threshold", 0.25);
-    if (quality_options.profile_path.empty() &&
-        skyex::quality::kQualityCompiledIn && !flags->Has("no-quality")) {
+    if (quality_options.profile_path.empty() && !flags->Has("no-quality")) {
       const std::string default_profile = model_path + ".profile";
       if (std::ifstream(default_profile).good()) {
         quality_options.profile_path = default_profile;
