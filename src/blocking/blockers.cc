@@ -9,7 +9,6 @@
 #include "data/ground_truth.h"
 #include "geo/distance.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "prof/prof.h"
 #include "text/normalize.h"
 #include "text/tokenize.h"
@@ -37,8 +36,7 @@ void SortUnique(std::vector<geo::CandidatePair>* pairs) {
 
 std::vector<geo::CandidatePair> TokenBlock(const data::Dataset& dataset,
                                            const TokenBlockOptions& options) {
-  SKYEX_SPAN("blocking/token");
-  SKYEX_PROF_PHASE(::skyex::prof::Phase::kBlocking);
+  SKYEX_PHASE("blocking/token", prof::Phase::kBlocking, nullptr);
   std::unordered_map<std::string, std::vector<size_t>> blocks;
   for (size_t i = 0; i < dataset.size(); ++i) {
     for (std::string& t :
@@ -70,8 +68,8 @@ std::vector<geo::CandidatePair> TokenBlock(const data::Dataset& dataset,
 std::vector<geo::CandidatePair> SortedNeighborhoodBlock(
     const data::Dataset& dataset,
     const SortedNeighborhoodOptions& options) {
-  SKYEX_SPAN("blocking/sorted_neighborhood");
-  SKYEX_PROF_PHASE(::skyex::prof::Phase::kBlocking);
+  SKYEX_PHASE("blocking/sorted_neighborhood", prof::Phase::kBlocking,
+              nullptr);
   std::vector<geo::CandidatePair> pairs;
   if (dataset.size() < 2 || options.window < 2) return pairs;
 
@@ -102,8 +100,7 @@ std::vector<geo::CandidatePair> SortedNeighborhoodBlock(
 
 std::vector<geo::CandidatePair> GridBlock(const data::Dataset& dataset,
                                           const GridBlockOptions& options) {
-  SKYEX_SPAN("blocking/grid");
-  SKYEX_PROF_PHASE(::skyex::prof::Phase::kBlocking);
+  SKYEX_PHASE("blocking/grid", prof::Phase::kBlocking, nullptr);
   // Hash records to integer grid cells sized `cell_m`.
   const double lat_step = geo::MetersToLatDegrees(options.cell_m);
   std::unordered_map<int64_t, std::vector<size_t>> cells;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -119,17 +120,23 @@ IncrementalLinker::GetTextEntry(size_t index, size_t* hits,
 }
 
 std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
-    const data::SpatialEntity& record, AddRecordStats* stats,
+    const data::SpatialEntity& record, obs::LinkStats* stats,
     quality::MatchCapture* capture) const {
   SKYEX_SPAN("core/incremental_add");
   if (capture != nullptr) capture->threshold_key = threshold_key_;
-  // Candidate set: spatial neighbors when coordinates exist, otherwise
-  // everything (bounded).
+  const TextEntry record_entry = ComputeTextEntry(record);
   std::vector<size_t> candidates;
+  std::vector<std::shared_ptr<const TextEntry>> entries;
+  // Sketch estimates of the surviving candidates, kept only while
+  // capturing (the audit record logs the prefilter verdict with its
+  // estimate for scored candidates too).
+  std::vector<double> kept_estimates;
   {
-    SKYEX_SPAN("core/incremental_candidates");
-    SKYEX_PROF_PHASE(::skyex::prof::Phase::kBlocking);
-    const double phase_start = obs::TraceNowUs();
+    // Candidate set: spatial neighbors when coordinates exist, otherwise
+    // everything (bounded). The prefilter phase below nests inside this
+    // one, so `extract_us` covers both.
+    SKYEX_PHASE("core/incremental_candidates", prof::Phase::kBlocking,
+                stats != nullptr ? &stats->extract_us : nullptr);
     if (record.location.valid) {
       size_t tested = 0;
       candidates = grid_.Query(
@@ -145,28 +152,16 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
       for (size_t i = 0; i < dataset_.size(); ++i) candidates[i] = i;
     }
     SKYEX_COUNTER_ADD("core/incremental_candidates", candidates.size());
-    if (stats != nullptr) {
-      stats->candidates = candidates.size();
-      stats->candidates_us = obs::TraceNowUs() - phase_start;
-    }
-  }
+    if (stats != nullptr) stats->candidates += candidates.size();
 
-  // Stage 1: per-candidate text state (through the LRU) and the sketch
-  // pre-filter. Both run serially on the calling thread — the cache is
-  // unsynchronized by contract — and the gathered shared_ptrs keep
-  // every entry alive through the parallel scoring below even if the
-  // LRU evicts it meanwhile. With threshold 0 nothing is dropped, so
-  // the match set is bit-identical to scoring every candidate.
-  const TextEntry record_entry = ComputeTextEntry(record);
-  std::vector<std::shared_ptr<const TextEntry>> entries;
-  // Sketch estimates of the surviving candidates, kept only while
-  // capturing (the audit record logs the prefilter verdict with its
-  // estimate for scored candidates too).
-  std::vector<double> kept_estimates;
-  {
-    SKYEX_SPAN("core/incremental_prefilter");
-    SKYEX_PROF_PHASE(::skyex::prof::Phase::kPrefilter);
-    const double phase_start = obs::TraceNowUs();
+    // Stage 1: per-candidate text state (through the LRU) and the sketch
+    // pre-filter. Both run serially on the calling thread — the cache is
+    // unsynchronized by contract — and the gathered shared_ptrs keep
+    // every entry alive through the parallel scoring below even if the
+    // LRU evicts it meanwhile. With threshold 0 nothing is dropped, so
+    // the match set is bit-identical to scoring every candidate.
+    SKYEX_PHASE("core/incremental_prefilter", prof::Phase::kPrefilter,
+                stats != nullptr ? &stats->prefilter_us : nullptr);
     size_t lru_hits = 0;
     size_t lru_misses = 0;
     entries.reserve(candidates.size());
@@ -207,77 +202,73 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
     SKYEX_COUNTER_ADD("extract/lru_hits", lru_hits);
     SKYEX_COUNTER_ADD("extract/lru_misses", lru_misses);
     if (stats != nullptr) {
-      stats->prefilter_dropped = dropped;
-      stats->lru_hits = lru_hits;
-      stats->lru_misses = lru_misses;
-      stats->prefilter_us = obs::TraceNowUs() - phase_start;
+      stats->prefilter_dropped += dropped;
+      stats->lru_hits += lru_hits;
+      stats->lru_misses += lru_misses;
     }
   }
 
+  // Each chunk scores its candidates and returns its links plus, when
+  // capturing, its decisions; concatenating the chunks in order keeps
+  // both in candidate order, so links come out ascending.
+  struct Scored {
+    std::vector<ScoredMatch> links;
+    std::vector<quality::CandidateDecision> decisions;
+  };
   std::vector<ScoredMatch> links;
   {
-    SKYEX_SPAN("core/incremental_score");
-    SKYEX_PROF_PHASE(::skyex::prof::Phase::kExtraction);
-    const double phase_start = obs::TraceNowUs();
-    if (capture != nullptr) {
-      // Capture path: serial, so decisions append in candidate order.
-      // Scores are computed per pair with no cross-pair state, so this
-      // produces the same matches and bit-identical scores as the
-      // parallel path below.
-      std::vector<double> row(extractor_.feature_count());
-      std::vector<double> key(compiled_.KeySize());
-      for (size_t k = 0; k < candidates.size(); ++k) {
-        const size_t i = candidates[k];
-        extractor_.RowFromCache(record, record_entry.text, dataset_[i],
-                                entries[k]->text, row.data());
-        double score = 0.0;
-        const bool accepted = Accept(row.data(), key.data(), &score);
-        quality::CandidateDecision decision;
-        decision.candidate_id = dataset_[i].id;
-        decision.candidate_index = static_cast<uint32_t>(i);
-        decision.prefilter_pass = true;
-        decision.scored = true;
-        decision.accepted = accepted;
-        decision.prefilter_estimate = kept_estimates[k];
-        decision.score = score;
-        decision.features.assign(row.begin(), row.end());
-        capture->decisions.push_back(std::move(decision));
-        if (accepted) links.push_back({i, score});
-      }
-    } else {
-      // Same ordered-concatenation scheme: links come out ascending.
-      par::ForOptions for_options;
-      for_options.grain = 64;
-      for_options.chunking = par::Chunking::kDynamic;
-      if (candidates.size() < kParallelScoreMinItems) {
-        for_options.max_parallelism = 1;
-      }
-      links = par::ParallelReduceOrdered<std::vector<ScoredMatch>>(
-          0, candidates.size(), for_options,
-          [&](size_t begin, size_t end) {
-            std::vector<ScoredMatch> local;
-            std::vector<double> row(extractor_.feature_count());
-            std::vector<double> key(compiled_.KeySize());
-            for (size_t k = begin; k < end; ++k) {
-              const size_t i = candidates[k];
-              extractor_.RowFromCache(record, record_entry.text, dataset_[i],
-                                      entries[k]->text, row.data());
-              double score = 0.0;
-              if (Accept(row.data(), key.data(), &score)) {
-                local.push_back({i, score});
-              }
+    SKYEX_PHASE("core/incremental_score", prof::Phase::kExtraction,
+                stats != nullptr ? &stats->rank_us : nullptr);
+    par::ForOptions for_options;
+    for_options.grain = 64;
+    for_options.chunking = par::Chunking::kDynamic;
+    if (candidates.size() < kParallelScoreMinItems) {
+      for_options.max_parallelism = 1;
+    }
+    Scored scored = par::ParallelReduceOrdered<Scored>(
+        0, candidates.size(), for_options,
+        [&](size_t begin, size_t end) {
+          Scored local;
+          std::vector<double> row(extractor_.feature_count());
+          std::vector<double> key(compiled_.KeySize());
+          for (size_t k = begin; k < end; ++k) {
+            const size_t i = candidates[k];
+            extractor_.RowFromCache(record, record_entry.text, dataset_[i],
+                                    entries[k]->text, row.data());
+            double score = 0.0;
+            const bool accepted = Accept(row.data(), key.data(), &score);
+            if (capture != nullptr) {
+              quality::CandidateDecision decision;
+              decision.candidate_id = dataset_[i].id;
+              decision.candidate_index = static_cast<uint32_t>(i);
+              decision.prefilter_pass = true;
+              decision.scored = true;
+              decision.accepted = accepted;
+              decision.prefilter_estimate = kept_estimates[k];
+              decision.score = score;
+              decision.features.assign(row.begin(), row.end());
+              local.decisions.push_back(std::move(decision));
             }
-            return local;
-          },
-          [](std::vector<ScoredMatch> acc, std::vector<ScoredMatch> next) {
-            acc.insert(acc.end(), next.begin(), next.end());
-            return acc;
-          },
-          std::vector<ScoredMatch>());
+            if (accepted) local.links.push_back({i, score});
+          }
+          return local;
+        },
+        [](Scored acc, Scored next) {
+          acc.links.insert(acc.links.end(), next.links.begin(),
+                           next.links.end());
+          acc.decisions.insert(acc.decisions.end(),
+                               std::make_move_iterator(next.decisions.begin()),
+                               std::make_move_iterator(next.decisions.end()));
+          return acc;
+        },
+        Scored());
+    if (capture != nullptr) {
+      capture->decisions.insert(
+          capture->decisions.end(),
+          std::make_move_iterator(scored.decisions.begin()),
+          std::make_move_iterator(scored.decisions.end()));
     }
-    if (stats != nullptr) {
-      stats->score_us = obs::TraceNowUs() - phase_start;
-    }
+    links = std::move(scored.links);
   }
   return links;
 }
@@ -289,7 +280,7 @@ void IncrementalLinker::Append(const data::SpatialEntity& record) {
 }
 
 std::vector<size_t> IncrementalLinker::AddRecord(
-    const data::SpatialEntity& record, AddRecordStats* stats) {
+    const data::SpatialEntity& record, obs::LinkStats* stats) {
   const std::vector<ScoredMatch> matches = MatchRecord(record, stats);
   Append(record);
   std::vector<size_t> links;

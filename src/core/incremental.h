@@ -13,6 +13,7 @@
 #include "features/lgm_x.h"
 #include "features/sketch.h"
 #include "geo/radius_grid.h"
+#include "obs/flight.h"
 #include "quality/audit_log.h"
 
 namespace skyex::core {
@@ -49,23 +50,6 @@ struct IncrementalLinkerOptions {
   size_t text_cache_capacity = 4096;
 };
 
-/// Per-call phase timing of AddRecord, for callers that attribute
-/// latency (the serving layer's flight recorder). `candidates_us` is
-/// the candidate lookup (the spatial index, or every record for a
-/// record without coordinates), `prefilter_us` the text-state lookup +
-/// sketch pre-filter over those candidates, `score_us` the LGM-X
-/// feature extraction + skyline-key acceptance over the survivors.
-/// `candidates` counts candidates BEFORE the pre-filter.
-struct AddRecordStats {
-  size_t candidates = 0;
-  double candidates_us = 0.0;
-  double prefilter_us = 0.0;
-  double score_us = 0.0;
-  size_t prefilter_dropped = 0;  // candidates removed by the sketch filter
-  size_t lru_hits = 0;           // text-cache hits across the candidates
-  size_t lru_misses = 0;         // text-cache misses (entries computed)
-};
-
 /// One accepted link, with the score the shard router ranks by: the
 /// pair's prioritized group sum (the first component of the compiled
 /// preference key — larger is a stronger match).
@@ -97,11 +81,11 @@ class IncrementalLinker {
                     Options options = {});
 
   /// Adds the record, returns indices of existing records it links to.
-  /// `stats` (optional) receives the call's phase timings. Equivalent to
+  /// `stats` (optional) is added to as by MatchRecord. Equivalent to
   /// MatchRecord (indices in ascending order, scores dropped) followed
   /// by Append.
   std::vector<size_t> AddRecord(const data::SpatialEntity& record,
-                                AddRecordStats* stats = nullptr);
+                                obs::LinkStats* stats = nullptr);
 
   /// Read-only half of AddRecord: finds and scores the records `record`
   /// links to, without mutating the dataset. Results come out in
@@ -109,16 +93,22 @@ class IncrementalLinker {
   /// intersecting shard but persists on the owner only, so the two
   /// halves are separately callable.
   ///
+  /// `stats` (optional) is added to, never reset, so one record can sum
+  /// a batch: `extract_us` gets the candidate lookup plus the prefilter,
+  /// `prefilter_us` the text-state lookup + sketch prefilter alone,
+  /// `rank_us` the LGM-X scoring + skyline-key acceptance, plus the
+  /// candidate, prefilter-drop and text-cache counts.
+  ///
   /// `capture` (optional) receives the full decision trail for the
   /// audit log: the calibrated threshold key plus one entry per
   /// candidate (prefilter verdict, and for survivors the feature row,
-  /// score and accept/reject). Capturing scores the survivors serially
-  /// on the calling thread; the match set and every score are
-  /// bit-identical to the uncaptured path (scoring is per-pair
-  /// deterministic), which is what lets `skyex_audit replay` reproduce
-  /// serving decisions exactly.
+  /// score and accept/reject), dropped candidates first, then the scored
+  /// ones in candidate order. Capturing scores on the same path as the
+  /// uncaptured call, so the match set and every score are bit-identical
+  /// to it (scoring is per-pair deterministic), which is what lets
+  /// `skyex_audit replay` reproduce serving decisions exactly.
   std::vector<ScoredMatch> MatchRecord(
-      const data::SpatialEntity& record, AddRecordStats* stats = nullptr,
+      const data::SpatialEntity& record, obs::LinkStats* stats = nullptr,
       quality::MatchCapture* capture = nullptr) const;
 
   /// Write half of AddRecord: appends `record` to the dataset.

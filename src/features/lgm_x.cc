@@ -182,8 +182,7 @@ void LgmXExtractor::ExtractRow(const data::SpatialEntity& a,
 ml::FeatureMatrix LgmXExtractor::Extract(
     const data::Dataset& dataset,
     const std::vector<geo::CandidatePair>& pairs) const {
-  SKYEX_SPAN("features/extract_lgmx");
-  SKYEX_PROF_PHASE(::skyex::prof::Phase::kExtraction);
+  SKYEX_PHASE("features/extract_lgmx", prof::Phase::kExtraction, nullptr);
   ml::FeatureMatrix matrix = ml::FeatureMatrix::Zeros(pairs.size(), names_);
 
   // Cache normalized strings per entity once.
@@ -219,8 +218,7 @@ std::vector<geo::CandidatePair> LgmXExtractor::PrefilterPairs(
     size_t* dropped) const {
   if (dropped != nullptr) *dropped = 0;
   if (threshold <= 0.0 || pairs.empty()) return pairs;
-  SKYEX_SPAN("features/prefilter_pairs");
-  SKYEX_PROF_PHASE(::skyex::prof::Phase::kPrefilter);
+  SKYEX_PHASE("features/prefilter_pairs", prof::Phase::kPrefilter, nullptr);
 
   // Sketch every entity once (the sketch is an order of magnitude cheaper
   // than one feature row, and amortizes over every pair the entity is in).

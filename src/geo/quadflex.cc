@@ -6,7 +6,7 @@
 #include "geo/distance.h"
 #include "geo/quadtree.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "prof/prof.h"
 
 namespace skyex::geo {
 
@@ -26,7 +26,7 @@ double LeafRadiusMeters(const BoundingBox& box, const QuadFlexOptions& opt) {
 
 std::vector<CandidatePair> QuadFlexBlock(const std::vector<GeoPoint>& points,
                                          const QuadFlexOptions& options) {
-  SKYEX_SPAN("blocking/quadflex");
+  SKYEX_PHASE("blocking/quadflex", prof::Phase::kBlocking, nullptr);
   Quadtree::Options tree_options;
   tree_options.capacity = options.leaf_capacity;
   tree_options.max_depth = options.max_depth;
@@ -79,7 +79,7 @@ std::vector<CandidatePair> QuadFlexBlock(const std::vector<GeoPoint>& points,
 }
 
 std::vector<CandidatePair> CartesianBlock(size_t n) {
-  SKYEX_SPAN("blocking/cartesian");
+  SKYEX_PHASE("blocking/cartesian", prof::Phase::kBlocking, nullptr);
   std::vector<CandidatePair> pairs;
   if (n < 2) return pairs;
   pairs.reserve(n * (n - 1) / 2);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "obs/context.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace skyex::obs {
@@ -20,29 +21,6 @@ void CopyTruncated(char* dst, std::size_t dst_size, std::string_view src) {
   dst[n] = '\0';
 }
 
-void AppendEscaped(std::ostream& out, const char* s) {
-  out << '"';
-  for (; *s; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << static_cast<char>(c);
-        }
-    }
-  }
-  out << '"';
-}
-
 void AppendUs(std::ostream& out, double us) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", us);
@@ -50,9 +28,9 @@ void AppendUs(std::ostream& out, double us) {
 }
 
 void WriteTimelineJson(std::ostream& out, const RequestTimeline& t) {
-  out << "{\"request_id\":\"" << FormatRequestId(t.request_id) << "\",\"endpoint\":";
-  AppendEscaped(out, t.endpoint);
-  out << ",\"status\":" << t.status
+  out << "{\"request_id\":\"" << FormatRequestId(t.request_id)
+      << "\",\"endpoint\":\"" << json::Escape(t.endpoint)
+      << "\",\"status\":" << t.status
       << ",\"degraded\":" << (t.degraded ? "true" : "false")
       << ",\"batch_size\":" << t.batch_size;
   out << ",\"start_us\":";
@@ -64,14 +42,14 @@ void WriteTimelineJson(std::ostream& out, const RequestTimeline& t) {
   out << ",\"batch_wait_us\":";
   AppendUs(out, t.batch_wait_us);
   out << ",\"extract_us\":";
-  AppendUs(out, t.extract_us);
+  AppendUs(out, t.link.extract_us);
   out << ",\"prefilter_us\":";
-  AppendUs(out, t.prefilter_us);
-  out << ",\"prefilter_dropped\":" << t.prefilter_dropped
-      << ",\"lru_hits\":" << t.lru_hits
-      << ",\"lru_misses\":" << t.lru_misses;
+  AppendUs(out, t.link.prefilter_us);
+  out << ",\"prefilter_dropped\":" << t.link.prefilter_dropped
+      << ",\"lru_hits\":" << t.link.lru_hits
+      << ",\"lru_misses\":" << t.link.lru_misses;
   out << ",\"rank_us\":";
-  AppendUs(out, t.rank_us);
+  AppendUs(out, t.link.rank_us);
   if (t.shards_touched > 0) {
     // Scatter-gather requests only, so unsharded dumps keep their shape.
     out << ",\"scatter_us\":";
@@ -91,6 +69,17 @@ void WriteTimelineJson(std::ostream& out, const RequestTimeline& t) {
 }
 
 }  // namespace
+
+LinkStats& LinkStats::operator+=(const LinkStats& other) {
+  extract_us += other.extract_us;
+  prefilter_us += other.prefilter_us;
+  rank_us += other.rank_us;
+  candidates += other.candidates;
+  prefilter_dropped += other.prefilter_dropped;
+  lru_hits += other.lru_hits;
+  lru_misses += other.lru_misses;
+  return *this;
+}
 
 void RequestTimeline::SetEndpoint(std::string_view path) {
   CopyTruncated(endpoint, sizeof(endpoint), path);
@@ -241,11 +230,8 @@ void FlightRecorder::WriteJson(std::ostream& out) const {
     if (i != 0) out << ", ";
     out << "{\"ts_us\":";
     AppendUs(out, events[i].ts_us);
-    out << ",\"kind\":";
-    AppendEscaped(out, events[i].kind);
-    out << ",\"detail\":";
-    AppendEscaped(out, events[i].detail);
-    out << '}';
+    out << ",\"kind\":\"" << json::Escape(events[i].kind)
+        << "\",\"detail\":\"" << json::Escape(events[i].detail) << "\"}";
   }
   out << "], \"dropped\": " << dropped() << "}\n";
 }

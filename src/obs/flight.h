@@ -26,12 +26,29 @@
 
 namespace skyex::obs {
 
+// The linker's numbers for one MatchRecord call, or summed over a
+// batch of them: filled by core::IncrementalLinker::MatchRecord and
+// passed whole through the serving layer (serve::LinkBatchStats, the
+// shard replies) into the RequestTimeline below. Durations are
+// microseconds and are only ever added to, so one record can sum a
+// batch or a scatter.
+struct LinkStats {
+  double extract_us = 0.0;    // candidate lookup + prefilter
+  double prefilter_us = 0.0;  // the prefilter share of extract_us
+  double rank_us = 0.0;       // LGM-X scoring + skyline-key acceptance
+  std::uint64_t candidates = 0;         // before the prefilter
+  std::uint64_t prefilter_dropped = 0;  // cut by the sketch prefilter
+  std::uint64_t lru_hits = 0;           // text-cache hits
+  std::uint64_t lru_misses = 0;         // text-cache misses
+
+  LinkStats& operator+=(const LinkStats& other);
+};
+
 // One request's phase breakdown, all durations in microseconds.
 // Phases a request did not pass through stay 0 (e.g. /healthz has no
-// queue_wait). `extract_us` is the candidate-generation (blocking)
-// share and `rank_us` the LGM-X scoring + skyline-key acceptance share
-// of the linker batch this request rode in; both are batch-level
-// attributions (see docs/observability.md).
+// queue_wait). `link` is the linker record of the batch this request
+// rode in (on the sharded path: summed over the shards' replies), a
+// batch-level attribution (see docs/observability.md).
 struct RequestTimeline {
   std::uint64_t request_id = 0;
   char endpoint[24] = {0};  // request path, truncated
@@ -42,14 +59,7 @@ struct RequestTimeline {
   double parse_us = 0.0;
   double queue_wait_us = 0.0;
   double batch_wait_us = 0.0;
-  double extract_us = 0.0;
-  // Stage-1 share of extract_us: text-cache lookup + sketch pre-filter,
-  // plus the batch's cache/filter counts (0 when the filter is off).
-  double prefilter_us = 0.0;
-  std::uint64_t prefilter_dropped = 0;
-  std::uint64_t lru_hits = 0;
-  std::uint64_t lru_misses = 0;
-  double rank_us = 0.0;
+  LinkStats link;
   // Sharded serving only (all 0 on the unsharded path): the
   // scatter-gather split of the link phase, plus the request's fan-out.
   double scatter_us = 0.0;

@@ -1,9 +1,33 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace skyex::obs::json {
+
+std::string Escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 const Value* Value::Find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;

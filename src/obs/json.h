@@ -3,7 +3,8 @@
 
 // Minimal recursive-descent JSON parser used to validate the files the
 // observability layer emits (Chrome traces, metrics dumps) — by
-// tools/validate_trace and the tests that parse traces back. Not a
+// tools/validate_trace and the tests that parse traces back — plus the
+// one string escaper every JSON writer in the library uses. Not a
 // general-purpose JSON library: no streaming, whole document in memory.
 
 #include <optional>
@@ -37,6 +38,11 @@ struct Value {
 /// else). On failure returns nullopt and, if `error` is non-null, a
 /// message with the byte offset.
 std::optional<Value> Parse(std::string_view text, std::string* error);
+
+/// Escapes a string body for inclusion between double quotes: `"`, `\`,
+/// newline, tab and carriage return get their short escapes, other
+/// control bytes `\u00XX`; every other byte passes through unchanged.
+std::string Escape(std::string_view s);
 
 }  // namespace skyex::obs::json
 

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include "obs/context.h"
+#include "obs/json.h"
 
 #include <algorithm>
 #include <bit>
@@ -40,29 +41,6 @@ std::string NumberToJson(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.17g", v);
   return buffer;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -231,14 +209,14 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
   out << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, cell] : impl_->counters) {
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
+    out << (first ? "\n" : ",\n") << "    \"" << json::Escape(name)
         << "\": " << cell->value.load(std::memory_order_relaxed);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, cell] : impl_->gauges) {
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name) << "\": "
+    out << (first ? "\n" : ",\n") << "    \"" << json::Escape(name) << "\": "
         << NumberToJson(
                BitsDouble(cell->bits.load(std::memory_order_relaxed)));
     first = false;
@@ -246,7 +224,7 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, cell] : impl_->histograms) {
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
+    out << (first ? "\n" : ",\n") << "    \"" << json::Escape(name)
         << "\": {\"count\": " << cell->count.load(std::memory_order_relaxed)
         << ", \"sum\": "
         << NumberToJson(

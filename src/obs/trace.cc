@@ -179,22 +179,28 @@ std::string TraceCollector::SummaryTable() const {
   return out.str();
 }
 
-ScopedSpan::ScopedSpan(const char* name)
-    : name_(name), active_(TraceCollector::Global().enabled()) {
-  if (!active_) return;
-  ++LocalBuffer().depth;
-  start_ = std::chrono::steady_clock::now();
+ScopedSpan::ScopedSpan(const char* name, double* sink_us)
+    : name_(name),
+      sink_us_(sink_us),
+      active_(TraceCollector::Global().enabled()) {
+  if (active_) ++LocalBuffer().depth;
+  if (active_ || sink_us_ != nullptr) {
+    start_ = std::chrono::steady_clock::now();
+  }
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
+  if (!active_ && sink_us_ == nullptr) return;
   const auto end = std::chrono::steady_clock::now();
+  const double dur_us =
+      std::chrono::duration<double, std::micro>(end - start_).count();
+  if (sink_us_ != nullptr) *sink_us_ += dur_us;
+  if (!active_) return;
   ThreadTraceBuffer& buffer = LocalBuffer();
   TraceEvent event;
   event.name = name_;
   event.ts_us = SinceEpochUs(start_);
-  event.dur_us =
-      std::chrono::duration<double, std::micro>(end - start_).count();
+  event.dur_us = dur_us;
   event.tid = buffer.tid;
   event.depth = --buffer.depth;
   std::lock_guard<std::mutex> lock(buffer.mutex);

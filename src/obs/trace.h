@@ -89,11 +89,14 @@ class TraceCollector {
 };
 
 /// RAII span: records a TraceEvent on the current thread's buffer when
-/// destroyed, if tracing was enabled at construction. Prefer the
-/// SKYEX_SPAN macro over direct use.
+/// destroyed, if tracing was enabled at construction. A non-null
+/// `sink_us` also receives the span's wall time in microseconds (added,
+/// never assigned), traced or not. The clock is read only when tracing
+/// is on or a sink is given. Prefer the SKYEX_SPAN macro, or
+/// SKYEX_PHASE (prof/prof.h) for a timed phase, over direct use.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  explicit ScopedSpan(const char* name, double* sink_us = nullptr);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -101,6 +104,7 @@ class ScopedSpan {
 
  private:
   const char* name_;
+  double* sink_us_;
   std::chrono::steady_clock::time_point start_;
   bool active_;
 };

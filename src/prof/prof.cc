@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #if defined(__linux__)
+#include <fcntl.h>
+#include <link.h>
 #include <sys/syscall.h>
 #endif
 
@@ -26,6 +28,7 @@
 #include <utility>
 
 #include "obs/context.h"
+#include "obs/json.h"
 #include "prof/heap.h"
 
 namespace skyex::prof {
@@ -493,23 +496,111 @@ void CpuProfiler::ResetForTest() {
 
 namespace {
 
+/// The running executable's function symbols from its .symtab, sorted
+/// by run-time address. dladdr reads only the dynamic symbol table, and
+/// -rdynamic exports only external symbols, so anonymous-namespace
+/// functions and GCC's local `.constprop`/`.isra` clones are named from
+/// here.
+struct LocalSymbols {
+  struct Symbol {
+    uintptr_t start = 0;  // run-time address: file value + load bias
+    uintptr_t end = 0;
+    size_t name = 0;  // offset into `names`
+    bool operator<(const Symbol& other) const { return start < other.start; }
+  };
+  std::vector<Symbol> symbols;
+  std::string names;  // the string table the symbols index
+};
+
+LocalSymbols ReadLocalSymbols() {
+  LocalSymbols out;
+#if defined(__linux__)
+  // The main program is the first object dl_iterate_phdr reports; its
+  // dlpi_addr is the load bias between file and run-time addresses.
+  uintptr_t bias = 0;
+  dl_iterate_phdr(
+      [](dl_phdr_info* info, size_t, void* data) {
+        *static_cast<uintptr_t*>(data) = info->dlpi_addr;
+        return 1;
+      },
+      &bias);
+  const int fd = ::open("/proc/self/exe", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return out;
+  const auto read_at = [fd](void* dst, size_t size, uint64_t offset) {
+    return ::pread(fd, dst, size, static_cast<off_t>(offset)) ==
+           static_cast<ssize_t>(size);
+  };
+  ElfW(Ehdr) header;
+  std::vector<ElfW(Shdr)> sections;
+  if (read_at(&header, sizeof(header), 0) &&
+      std::memcmp(header.e_ident, ELFMAG, SELFMAG) == 0 &&
+      header.e_shentsize == sizeof(ElfW(Shdr))) {
+    sections.resize(header.e_shnum);
+    if (!read_at(sections.data(), sections.size() * sizeof(ElfW(Shdr)),
+                 header.e_shoff)) {
+      sections.clear();
+    }
+  }
+  for (const ElfW(Shdr)& section : sections) {
+    if (section.sh_type != SHT_SYMTAB || section.sh_link >= sections.size()) {
+      continue;
+    }
+    const ElfW(Shdr)& strtab = sections[section.sh_link];
+    std::vector<ElfW(Sym)> table(section.sh_size / sizeof(ElfW(Sym)));
+    out.names.resize(strtab.sh_size);
+    if (read_at(table.data(), table.size() * sizeof(ElfW(Sym)),
+                section.sh_offset) &&
+        read_at(out.names.data(), out.names.size(), strtab.sh_offset)) {
+      for (const ElfW(Sym)& sym : table) {
+        if (ELF64_ST_TYPE(sym.st_info) == STT_FUNC && sym.st_size > 0 &&
+            sym.st_shndx != SHN_UNDEF && sym.st_name < out.names.size()) {
+          out.symbols.push_back({bias + sym.st_value,
+                                 bias + sym.st_value + sym.st_size,
+                                 sym.st_name});
+        }
+      }
+    }
+    break;
+  }
+  ::close(fd);
+  std::sort(out.symbols.begin(), out.symbols.end());
+#endif
+  return out;
+}
+
+/// Mangled name of the executable's function containing `pc`, or
+/// nullptr. The symbol table is read once, by the first dump that needs
+/// it, never in the signal handler.
+const char* LocalSymbolName(const void* pc) {
+  static const LocalSymbols* local = new LocalSymbols(ReadLocalSymbols());
+  const LocalSymbols::Symbol key{reinterpret_cast<uintptr_t>(pc)};
+  auto it = std::upper_bound(local->symbols.begin(), local->symbols.end(),
+                             key);
+  if (it == local->symbols.begin() || key.start >= (--it)->end) {
+    return nullptr;
+  }
+  return local->names.c_str() + it->name;
+}
+
 /// Best-effort name of one program counter, cached per collapse call.
 std::string SymbolizePc(void* pc) {
   Dl_info info;
-  if (::dladdr(pc, &info) != 0 && info.dli_sname != nullptr) {
+  const bool found = ::dladdr(pc, &info) != 0;
+  const char* symbol = found ? info.dli_sname : nullptr;
+  if (symbol == nullptr) symbol = LocalSymbolName(pc);
+  if (symbol != nullptr) {
     int status = 0;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
+    char* demangled = abi::__cxa_demangle(symbol, nullptr, nullptr, &status);
     if (status == 0 && demangled != nullptr) {
       std::string name(demangled);
       std::free(demangled);
       return name;
     }
     if (demangled != nullptr) std::free(demangled);
-    return info.dli_sname;
+    return symbol;
   }
   char buffer[64];
-  if (::dladdr(pc, &info) != 0 && info.dli_fname != nullptr) {
+  if (found && info.dli_fname != nullptr) {
     const char* base = std::strrchr(info.dli_fname, '/');
     base = base != nullptr ? base + 1 : info.dli_fname;
     std::snprintf(buffer, sizeof(buffer), "%s+0x%" PRIxPTR, base,
@@ -550,25 +641,6 @@ std::vector<std::string> SymbolizedFrames(
     }
   }
   return names;
-}
-
-void JsonEscapeTo(std::string* out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          *out += hex;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -630,7 +702,7 @@ void WriteProfileJson(std::ostream& out, const Profile& profile,
     for (size_t f = 0; f < names.size(); ++f) {
       if (f > 0) body += ',';
       body += '"';
-      JsonEscapeTo(&body, names[f]);
+      body += obs::json::Escape(names[f]);
       body += '"';
     }
     body += "]}";

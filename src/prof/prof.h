@@ -10,17 +10,19 @@
 // frame array plus the thread's current *phase* tag and request id
 // into a fixed-capacity per-thread sample ring, which a thread gets only
 // once sampling starts for it (registration alone allocates none);
-// symbolization (dladdr + demangling) happens lazily at dump time, never
-// in the handler.
+// symbolization (dladdr, then the executable's own symbol table for
+// local functions, + demangling) happens lazily at dump time, never in
+// the handler.
 //
 // Phases name the pipeline stage a thread is executing — blocking,
 // extraction, skyline, ranking, serve, training — installed by the
-// RAII PhaseScope (macro SKYEX_PROF_PHASE). ThreadPool::TaskGroup
-// captures the submitter's phase into pool tasks the same way it
-// captures the obs::TraceContext, so a ParallelFor body under the
-// linker keeps its request id *and* its phase at any thread count.
-// One profile therefore answers "which function, in which phase, for
-// which request".
+// RAII PhaseScope (macro SKYEX_PROF_PHASE), or together with the trace
+// span and the phase's timing by PhaseSpan (macro SKYEX_PHASE).
+// ThreadPool::TaskGroup captures the submitter's phase into pool tasks
+// the same way it captures the obs::TraceContext, so a ParallelFor
+// body under the linker keeps its request id *and* its phase at any
+// thread count. One profile therefore answers "which function, in
+// which phase, for which request".
 //
 // Async-signal-safety contract (the part that keeps this always-on
 // safe in production):
@@ -28,8 +30,9 @@
 //     tickets, no locks, no allocation) and lock-free atomics;
 //   - backtrace() is primed once in Start() from normal context, so
 //     the lazy libgcc load never happens inside a handler;
-//   - symbolization (dladdr, __cxa_demangle, std::string) is confined
-//     to Drain()/Collapse* callers on normal threads.
+//   - symbolization (dladdr, the symbol-table read, __cxa_demangle,
+//     std::string) is confined to Collapse*/Write* callers on normal
+//     threads.
 //
 // Snapshot/drain concurrency contract (mirrors obs/trace.h): Drain()
 // consumes each ring's unread samples while handlers keep writing —
@@ -46,6 +49,8 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace skyex::prof {
 
@@ -197,10 +202,10 @@ class CpuProfiler {
 
 /// Collapsed-stack text of a profile (flamegraph.pl compatible): one
 /// `phase;root;...;leaf count` line per unique stack, root first, the
-/// phase name as the synthetic root frame. Frames symbolize via
-/// dladdr + demangling (binaries link with -rdynamic so their own
-/// symbols resolve); unresolved frames render as "module+0x<off>" or
-/// "0x<pc>".
+/// phase name as the synthetic root frame. Frames symbolize via dladdr
+/// (binaries link with -rdynamic), then the executable's .symtab for
+/// local symbols, + demangling; unresolved frames render as
+/// "module+0x<off>" or "0x<pc>".
 std::string CollapseProfile(const Profile& profile);
 
 /// JSON form: {"hz","wall_seconds","samples","dropped",
@@ -231,6 +236,20 @@ class PhaseScope {
   uint64_t prev_request_id_;
 };
 
+/// One phase, instrumented once: opens the trace span `name`, installs
+/// the profiler tag `phase`, and adds the phase's wall time to a
+/// non-null `sink_us` (never assigns, so a sink can sum a batch). The
+/// clock is read only when tracing is on or a sink is given.
+class PhaseSpan {
+ public:
+  PhaseSpan(const char* name, Phase phase, double* sink_us)
+      : span_(name, sink_us), tag_(phase) {}
+
+ private:
+  obs::ScopedSpan span_;
+  PhaseScope tag_;
+};
+
 }  // namespace skyex::prof
 
 #define SKYEX_PROF_CONCAT_INNER(a, b) a##b
@@ -238,5 +257,8 @@ class PhaseScope {
 #define SKYEX_PROF_PHASE(phase)                     \
   ::skyex::prof::PhaseScope SKYEX_PROF_CONCAT(      \
       skyex_prof_phase_, __LINE__)(phase)
+#define SKYEX_PHASE(name, phase, sink_us)           \
+  ::skyex::prof::PhaseSpan SKYEX_PROF_CONCAT(       \
+      skyex_phase_, __LINE__)(name, phase, sink_us)
 
 #endif  // SKYEX_PROF_PROF_H_

@@ -6,34 +6,10 @@
 
 #include "obs/context.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace skyex::quality {
-
-namespace {
-
-void WriteEscaped(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out << buffer;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 Runtime& Runtime::Global() {
   static Runtime* runtime = new Runtime();  // leaked, like the registry
@@ -247,13 +223,12 @@ Runtime::Snapshot Runtime::snapshot() const {
 void Runtime::WriteDebugJson(std::ostream& out) const {
   const Snapshot snap = snapshot();
   out << "{\"enabled\": " << (snap.enabled ? "true" : "false");
-  out << ", \"model_hash\": ";
-  WriteEscaped(out, HashHex(snap.model_hash));
+  out << ", \"model_hash\": \"" << obs::json::Escape(HashHex(snap.model_hash))
+      << '"';
   out << ", \"audit\": {\"enabled\": " << (snap.audit ? "true" : "false");
   if (snap.audit) {
-    out << ", \"path\": ";
-    WriteEscaped(out, snap.audit_path);
-    out << ", \"sample_every\": " << snap.sample_every
+    out << ", \"path\": \"" << obs::json::Escape(snap.audit_path)
+        << "\", \"sample_every\": " << snap.sample_every
         << ", \"attempts\": " << snap.attempts
         << ", \"sampled\": " << snap.sampled
         << ", \"written\": " << snap.written
@@ -269,9 +244,8 @@ void Runtime::WriteDebugJson(std::ostream& out) const {
       feature = index < feature_names_.size() ? feature_names_[index]
                                               : "X" + std::to_string(index);
     }
-    out << ", \"profile\": ";
-    WriteEscaped(out, snap.profile_path);
-    out << ", \"window\": " << snap.drift_options.window
+    out << ", \"profile\": \"" << obs::json::Escape(snap.profile_path)
+        << "\", \"window\": " << snap.drift_options.window
         << ", \"row_sample_every\": " << snap.drift_options.row_sample_every
         << ", \"entity_window\": " << snap.drift_options.entity_window
         << ", \"psi_threshold\": " << snap.drift_options.psi_threshold
@@ -280,9 +254,8 @@ void Runtime::WriteDebugJson(std::ostream& out) const {
         << ", \"entity_windows\": " << d.entity_windows
         << ", \"trips\": " << d.trips
         << ", \"psi_feature_max\": " << d.psi_feature_max
-        << ", \"psi_feature\": ";
-    WriteEscaped(out, feature);
-    out << ", \"ks_score\": " << d.ks_score
+        << ", \"psi_feature\": \"" << obs::json::Escape(feature)
+        << "\", \"ks_score\": " << d.ks_score
         << ", \"psi_lat\": " << d.psi_lat << ", \"psi_lon\": " << d.psi_lon
         << ", \"psi_name_len\": " << d.psi_name_len
         << ", \"drifting\": " << (d.drifting ? "true" : "false")

@@ -5,29 +5,6 @@
 
 namespace skyex::serve::json {
 
-std::string Escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 Writer& Writer::Number(double value) {
   if (!std::isfinite(value)) return Null();  // JSON has no inf/nan
   if (value == static_cast<double>(static_cast<int64_t>(value)) &&

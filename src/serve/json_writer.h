@@ -13,10 +13,11 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace skyex::serve::json {
 
-/// Escapes a string body for inclusion between double quotes.
-std::string Escape(std::string_view s);
+using obs::json::Escape;
 
 class Writer {
  public:

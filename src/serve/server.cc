@@ -246,9 +246,8 @@ void Server::ServeConnection(UniqueFd fd) {
 
     HttpResponse response;
     {
-      SKYEX_SPAN("serve/handle_request");
       // After the context scope, so the samples carry this request id.
-      SKYEX_PROF_PHASE(::skyex::prof::Phase::kServe);
+      SKYEX_PHASE("serve/handle_request", prof::Phase::kServe, nullptr);
       response = Dispatch(request, &timeline);
     }
     response.extra_headers.emplace_back("X-Request-Id", request_id_text);
@@ -391,7 +390,8 @@ HttpResponse Server::Dispatch(const HttpRequest& request,
 HttpResponse Server::LinkResponse(const std::vector<LinkResult>& results,
                                   bool batch,
                                   obs::RequestTimeline* timeline) {
-  const double serialize_start = obs::TraceNowUs();
+  SKYEX_PHASE("serve/serialize_response", prof::Phase::kServe,
+              &timeline->serialize_us);
   const std::string rid = obs::FormatRequestId(timeline->request_id);
   json::Writer writer;
   if (batch) {
@@ -408,7 +408,6 @@ HttpResponse Server::LinkResponse(const std::vector<LinkResult>& results,
   }
   HttpResponse response;
   response.body = writer.Take();
-  timeline->serialize_us = obs::TraceNowUs() - serialize_start;
   return response;
 }
 
@@ -521,15 +520,8 @@ HttpResponse Server::HandleLink(const HttpRequest& request, bool batch,
   std::string error;
   LinkJob job;
   {
-    SKYEX_SPAN("serve/parse_request");
-    const double parse_start = obs::TraceNowUs();
-    struct ParseTimer {
-      double start;
-      obs::RequestTimeline* timeline;
-      ~ParseTimer() {
-        timeline->parse_us = obs::TraceNowUs() - start;
-      }
-    } parse_timer{parse_start, timeline};
+    SKYEX_PHASE("serve/parse_request", prof::Phase::kServe,
+                &timeline->parse_us);
     const auto parsed = obs::json::Parse(request.body, &error);
     if (!parsed.has_value()) {
       SKYEX_COUNTER_INC("serve/bad_json_400");
@@ -607,11 +599,9 @@ HttpResponse Server::HandleLink(const HttpRequest& request, bool batch,
 
   job.enqueue_us = obs::TraceNowUs();
   job.request_id = timeline->request_id;
-  auto phases = std::make_shared<LinkPhases>();
-  job.phases = phases;
   auto cancelled = std::make_shared<std::atomic<bool>>(false);
   job.cancelled = cancelled;
-  std::future<std::vector<LinkResult>> future = job.done.get_future();
+  std::future<LinkReply> future = job.done.get_future();
   const PushResult pushed = link_queue_.TryPush(std::move(job));
   SKYEX_GAUGE_SET("serve/queue_depth",
                   static_cast<double>(link_queue_.size()));
@@ -630,62 +620,44 @@ HttpResponse Server::HandleLink(const HttpRequest& request, bool batch,
     return ErrorResponse(503, "server is draining");
   }
 
-  if (options_.deadline_ms > 0) {
-    // Injected clock skew eats into the request's budget, as a skewed
-    // or stepped clock would.
+  // Without a deadline the wait is unbounded. Injected clock skew eats
+  // into a deadline's budget, as a skewed or stepped clock would.
+  const bool bounded = options_.deadline_ms > 0;
+  std::chrono::milliseconds budget(0);
+  if (bounded) {
     double skew_ms = 0.0;
     fault::FaultAction skew_action;
     if (SKYEX_FAULT_FIRE("serve.clock_skew", &skew_action)) {
       skew_ms = skew_action.ms;
     }
-    const auto wait = std::chrono::milliseconds(std::max<int64_t>(
+    budget = std::chrono::milliseconds(std::max<int64_t>(
         0, options_.deadline_ms - static_cast<int64_t>(skew_ms)));
-    std::future_status ready;
-    {
-      SKYEX_SPAN("serve/queue_wait");
-      ready = future.wait_for(wait);
-    }
-    if (ready != std::future_status::ready) {
-      cancelled->store(true, std::memory_order_relaxed);
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      SKYEX_COUNTER_INC("serve/deadline_expired");
-      breaker_.RecordFailure(NowMs());
-      NoteBreakerOpens();
-      if (options_.degraded_fallback) {
-        return DegradedResponse(fallback_entities, batch, timeline);
-      }
-      return ShedResponse("deadline exceeded");
-    }
-    std::vector<LinkResult> results = future.get();
-    breaker_.RecordSuccess(NowMs());
-    timeline->queue_wait_us = phases->queue_wait_us;
-    timeline->batch_wait_us = phases->batch_wait_us;
-    timeline->extract_us = phases->extract_us;
-    timeline->prefilter_us = phases->prefilter_us;
-    timeline->rank_us = phases->rank_us;
-    timeline->batch_size = phases->batch_size;
-    timeline->prefilter_dropped = phases->prefilter_dropped;
-    timeline->lru_hits = phases->lru_hits;
-    timeline->lru_misses = phases->lru_misses;
-    return LinkResponse(results, batch, timeline);
   }
-
-  std::vector<LinkResult> results;
+  bool ready = true;
+  LinkReply reply;
   {
     SKYEX_SPAN("serve/queue_wait");
-    results = future.get();
+    ready = !bounded ||
+            future.wait_for(budget) == std::future_status::ready;
+    if (ready) reply = future.get();
+  }
+  if (!ready) {
+    cancelled->store(true, std::memory_order_relaxed);
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    SKYEX_COUNTER_INC("serve/deadline_expired");
+    breaker_.RecordFailure(NowMs());
+    NoteBreakerOpens();
+    if (options_.degraded_fallback) {
+      return DegradedResponse(fallback_entities, batch, timeline);
+    }
+    return ShedResponse("deadline exceeded");
   }
   breaker_.RecordSuccess(NowMs());
-  timeline->queue_wait_us = phases->queue_wait_us;
-  timeline->batch_wait_us = phases->batch_wait_us;
-  timeline->extract_us = phases->extract_us;
-  timeline->prefilter_us = phases->prefilter_us;
-  timeline->rank_us = phases->rank_us;
-  timeline->batch_size = phases->batch_size;
-  timeline->prefilter_dropped = phases->prefilter_dropped;
-  timeline->lru_hits = phases->lru_hits;
-  timeline->lru_misses = phases->lru_misses;
-  return LinkResponse(results, batch, timeline);
+  timeline->queue_wait_us = reply.queue_wait_us;
+  timeline->batch_wait_us = reply.batch_wait_us;
+  timeline->batch_size = reply.batch_size;
+  timeline->link = reply.stats;
+  return LinkResponse(reply.results, batch, timeline);
 }
 
 HttpResponse Server::HandleLinkSharded(
@@ -695,8 +667,7 @@ HttpResponse Server::HandleLinkSharded(
   ShardPhases phases;
   std::vector<LinkResult> results =
       backend_->Link(entities, options_.deadline_ms, &phases);
-  timeline->extract_us = phases.extract_us;
-  timeline->rank_us = phases.rank_us;
+  timeline->link = phases.link;
   timeline->scatter_us = phases.scatter_us;
   timeline->shard_link_us = phases.shard_link_us;
   timeline->gather_us = phases.gather_us;
@@ -736,43 +707,43 @@ void Server::LinkerLoop() {
     SKYEX_PROF_PHASE(::skyex::prof::Phase::kServe);
     linker_busy_.store(true, std::memory_order_relaxed);
     linker_heartbeat_ms_.store(NowMs(), std::memory_order_relaxed);
-    // Injected wedge: the stall happens while busy with the heartbeat
-    // frozen, exactly what a deadlocked or livelocked linker looks like
-    // to the watchdog.
-    fault::FaultAction stall;
-    if (SKYEX_FAULT_FIRE("linker.stall", &stall)) {
-      SKYEX_LOG_WARN("serve/linker", "injected stall", {"ms", stall.ms});
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(stall.ms));
-    }
-    SKYEX_GAUGE_SET("serve/queue_depth",
-                    static_cast<double>(link_queue_.size()));
     std::vector<data::SpatialEntity> entities;
     std::vector<size_t> offsets;  // start of each job's slice
+    std::vector<LinkReply> replies(jobs.size());
+    double batch_wait_us = 0.0;
     {
-      SKYEX_SPAN("serve/batch_assembly");
-      const double now_us = obs::TraceNowUs();
+      SKYEX_PHASE("serve/batch_assembly", prof::Phase::kServe,
+                  &batch_wait_us);
+      // Injected wedge: the stall happens while busy with the heartbeat
+      // frozen, exactly what a deadlocked or livelocked linker looks
+      // like to the watchdog.
+      fault::FaultAction stall;
+      if (SKYEX_FAULT_FIRE("linker.stall", &stall)) {
+        SKYEX_LOG_WARN("serve/linker", "injected stall", {"ms", stall.ms});
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(stall.ms));
+      }
+      SKYEX_GAUGE_SET("serve/queue_depth",
+                      static_cast<double>(link_queue_.size()));
       size_t total = 0;
       size_t skipped = 0;
       offsets.reserve(jobs.size());
       for (const LinkJob& job : jobs) total += job.entities.size();
       entities.reserve(total);
-      for (LinkJob& job : jobs) {
+      for (size_t j = 0; j < jobs.size(); ++j) {
         offsets.push_back(entities.size());
         // A cancelled job's caller gave up at its deadline; skipping it
         // keeps the abandoned request from mutating the dataset. Its
         // slice stays empty.
-        if (job.cancelled != nullptr &&
-            job.cancelled->load(std::memory_order_relaxed)) {
+        if (jobs[j].cancelled != nullptr &&
+            jobs[j].cancelled->load(std::memory_order_relaxed)) {
           ++skipped;
           continue;
         }
-        if (job.phases != nullptr) {
-          job.phases->queue_wait_us = pop_us - job.enqueue_us;
-        }
+        replies[j].queue_wait_us = pop_us - jobs[j].enqueue_us;
         SKYEX_HISTOGRAM_OBSERVE_US("serve/queue_wait_us",
-                                   now_us - job.enqueue_us);
-        for (data::SpatialEntity& e : job.entities) {
+                                   replies[j].queue_wait_us);
+        for (data::SpatialEntity& e : jobs[j].entities) {
           entities.push_back(std::move(e));
         }
       }
@@ -786,7 +757,6 @@ void Server::LinkerLoop() {
 
     std::vector<LinkResult> results;
     LinkBatchStats batch_stats;
-    const double link_start_us = obs::TraceNowUs();
     if (!entities.empty()) {
       // Base tag for the linking pass: acceptance + golden-record time
       // samples as ranking; candidate scan and feature extraction
@@ -798,26 +768,18 @@ void Server::LinkerLoop() {
                                  std::memory_order_relaxed);
       }
     }
-    for (LinkJob& job : jobs) {
-      if (job.phases == nullptr) continue;
-      job.phases->batch_wait_us = link_start_us - pop_us;
-      job.phases->extract_us = batch_stats.extract_us;
-      job.phases->prefilter_us = batch_stats.prefilter_us;
-      job.phases->rank_us = batch_stats.rank_us;
-      job.phases->batch_size = static_cast<uint32_t>(entities.size());
-      job.phases->prefilter_dropped = batch_stats.prefilter_dropped;
-      job.phases->lru_hits = batch_stats.lru_hits;
-      job.phases->lru_misses = batch_stats.lru_misses;
-    }
 
     for (size_t j = 0; j < jobs.size(); ++j) {
       const size_t begin = offsets[j];
       const size_t end =
           j + 1 < jobs.size() ? offsets[j + 1] : results.size();
-      std::vector<LinkResult> slice(
-          std::make_move_iterator(results.begin() + begin),
-          std::make_move_iterator(results.begin() + end));
-      jobs[j].done.set_value(std::move(slice));
+      LinkReply& reply = replies[j];
+      reply.results.assign(std::make_move_iterator(results.begin() + begin),
+                           std::make_move_iterator(results.begin() + end));
+      reply.batch_wait_us = batch_wait_us;
+      reply.batch_size = static_cast<uint32_t>(entities.size());
+      reply.stats = batch_stats;
+      jobs[j].done.set_value(std::move(reply));
     }
     linker_heartbeat_ms_.store(NowMs(), std::memory_order_relaxed);
     linker_busy_.store(false, std::memory_order_relaxed);

@@ -169,32 +169,26 @@ class Server {
   Server& operator=(const Server&) = delete;
 
  private:
-  // Linker-side phase timings for one job, shared between the linker
-  // thread (writer, before the promise is fulfilled) and the I/O
-  // worker (reader, after future.get() returns) — the promise/future
-  // handoff orders the accesses.
-  struct LinkPhases {
+  // The linker thread's answer to one job, handed to the I/O worker
+  // through the job's promise: the job's slice of the batch results
+  // plus the linker-side timings of the batch it rode in.
+  struct LinkReply {
+    std::vector<LinkResult> results;
     double queue_wait_us = 0.0;  // enqueue -> batch popped
     double batch_wait_us = 0.0;  // batch popped -> linking starts
-    double extract_us = 0.0;     // candidate scans + pre-filter (batch-level)
-    double prefilter_us = 0.0;   // stage-1 share of extract_us
-    double rank_us = 0.0;        // scoring + acceptance (batch-level)
-    uint32_t batch_size = 0;         // entities linked in the batch
-    uint64_t prefilter_dropped = 0;  // candidates cut by the sketch filter
-    uint64_t lru_hits = 0;           // text-cache hits across the batch
-    uint64_t lru_misses = 0;         // text-cache misses across the batch
+    uint32_t batch_size = 0;     // entities linked in the batch
+    obs::LinkStats stats;        // the batch's linker record
   };
 
   struct LinkJob {
     std::vector<data::SpatialEntity> entities;
     double enqueue_us = 0.0;
     uint64_t request_id = 0;
-    std::shared_ptr<LinkPhases> phases;
     // Set by the I/O worker when the request's deadline expires; the
     // linker skips cancelled jobs instead of mutating the dataset for
     // a caller that already gave up.
     std::shared_ptr<std::atomic<bool>> cancelled;
-    std::promise<std::vector<LinkResult>> done;
+    std::promise<LinkReply> done;
   };
 
   void ListenerLoop();

@@ -227,7 +227,6 @@ std::vector<LinkResult> LinkService::LinkMany(
     std::lock_guard<std::mutex> lock(mutex_);
     for (const data::SpatialEntity& entity : entities) {
       LinkResult result;
-      core::AddRecordStats add_stats;
       // Linkage-quality hooks (no-ops until skyex_serve enables the
       // quality runtime): entity-level drift observation for every
       // request, full decision capture for sampled ones.
@@ -236,20 +235,11 @@ std::vector<LinkResult> LinkService::LinkMany(
       quality::MatchCapture capture;
       const bool capturing = quality_runtime.ShouldCapture();
       std::vector<core::ScoredMatch> matches = linker_.MatchRecord(
-          entity, stats != nullptr ? &add_stats : nullptr,
-          capturing ? &capture : nullptr);
+          entity, stats, capturing ? &capture : nullptr);
       if (capturing) {
         quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
       }
       linker_.Append(entity);
-      if (stats != nullptr) {
-        stats->extract_us += add_stats.candidates_us + add_stats.prefilter_us;
-        stats->prefilter_us += add_stats.prefilter_us;
-        stats->rank_us += add_stats.score_us;
-        stats->prefilter_dropped += add_stats.prefilter_dropped;
-        stats->lru_hits += add_stats.lru_hits;
-        stats->lru_misses += add_stats.lru_misses;
-      }
       const data::Dataset& dataset = linker_.dataset();
       result.record_index = dataset.size() - 1;
       // Rank exactly like the shard router's gather, so `--shards=1`
@@ -289,7 +279,7 @@ std::vector<LinkResult> LinkService::LinkMany(
 
 std::vector<ScoredLink> LinkService::MatchScored(
     const data::SpatialEntity& entity, bool persist,
-    core::AddRecordStats* stats) {
+    obs::LinkStats* stats) {
   SKYEX_SPAN("serve/match_scored");
   std::vector<ScoredLink> links;
   {

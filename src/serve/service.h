@@ -24,6 +24,7 @@
 
 #include "core/incremental.h"
 #include "data/spatial_entity.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "serve/json_writer.h"
 
@@ -89,20 +90,9 @@ void WriteEntityJson(json::Writer* writer, const data::SpatialEntity& e);
 void WriteLinkResultJson(json::Writer* writer, const LinkResult& result,
                          const std::string* request_id = nullptr);
 
-/// Batch-level phase timing of LinkMany, for the flight recorder:
-/// `extract_us` sums the candidate scans plus the stage-1 text-state
-/// lookup + sketch pre-filter, `rank_us` the LGM-X scoring +
-/// skyline-key acceptance, across the whole batch. `prefilter_us`
-/// breaks the stage-1 share out of `extract_us`; the counts aggregate
-/// the linker's per-record AddRecordStats.
-struct LinkBatchStats {
-  double extract_us = 0.0;
-  double prefilter_us = 0.0;
-  double rank_us = 0.0;
-  size_t prefilter_dropped = 0;
-  size_t lru_hits = 0;
-  size_t lru_misses = 0;
-};
+/// Batch-level linker record of LinkMany, for the flight recorder: the
+/// linker's obs::LinkStats summed over every record of the batch.
+using LinkBatchStats = obs::LinkStats;
 
 /// Serializes IncrementalLinker access behind one mutex — the write
 /// contract of core/incremental.h. All linkage performed by the server
@@ -113,8 +103,8 @@ class LinkService {
               DegradedOptions degraded_options = {});
 
   /// Links each entity in order against the (growing) dataset. One
-  /// batch = one lock hold = one linker pass. `stats` (optional)
-  /// receives the batch's phase timings.
+  /// batch = one lock hold = one linker pass. `stats` (optional) is
+  /// added to by every record's MatchRecord.
   std::vector<LinkResult> LinkMany(
       const std::vector<data::SpatialEntity>& entities,
       LinkBatchStats* stats = nullptr);
@@ -124,9 +114,10 @@ class LinkService {
   /// local index order, unranked — the router ranks after gathering).
   /// When `persist` is true the entity is appended afterwards, exactly
   /// like AddRecord; the owner shard persists, peers only match.
+  /// `stats` (optional) is added to by MatchRecord.
   std::vector<ScoredLink> MatchScored(const data::SpatialEntity& entity,
                                       bool persist,
-                                      core::AddRecordStats* stats = nullptr);
+                                      obs::LinkStats* stats = nullptr);
 
   /// Read-only fallback: matches each entity against the degraded
   /// index by name similarity + radius gate. Never touches the linker

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "data/spatial_entity.h"
+#include "obs/flight.h"
 #include "serve/service.h"
 
 namespace skyex::serve {
@@ -25,10 +26,9 @@ struct ShardPhases {
   double scatter_us = 0.0;     // routing + enqueueing onto shard queues
   double shard_link_us = 0.0;  // waiting for shard match results
   double gather_us = 0.0;      // merge + rank of the gathered links
-  double extract_us = 0.0;     // candidate scans inside the shards
-  double rank_us = 0.0;        // LGM-X scoring inside the shards
   uint32_t shards_touched = 0;  // scatter targets across the batch
   uint32_t shards_failed = 0;   // targets that timed out / errored
+  obs::LinkStats link;  // the shards' linker records, summed over replies
 };
 
 /// A linking backend behind the scatter-gather seam.
@@ -39,8 +39,8 @@ class ShardBackend {
   /// Links each entity in order, like LinkService::LinkMany. A result
   /// whose scatter lost at least one shard carries degraded = true
   /// (partial links, merged = entity when every target failed).
-  /// `deadline_ms` ≤ 0 means no deadline; `phases` (optional) receives
-  /// the batch's scatter/link/gather timings.
+  /// `deadline_ms` ≤ 0 means no deadline; `phases` is added to: the
+  /// batch's scatter/link/gather timings and the shards' linker records.
   virtual std::vector<LinkResult> Link(
       const std::vector<data::SpatialEntity>& entities, int deadline_ms,
       ShardPhases* phases) = 0;

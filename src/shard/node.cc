@@ -92,8 +92,7 @@ void ShardNode::Process(ShardJob& job) {
     job.reply.set_value(std::move(reply));  // ok = false
     return;
   }
-  core::AddRecordStats stats;
-  reply.links = service_->MatchScored(job.entity, job.persist, &stats);
+  reply.links = service_->MatchScored(job.entity, job.persist, &reply.stats);
   if (job.persist) {
     global_of_local_.push_back(job.global_index);
     record_count_.fetch_add(1, std::memory_order_relaxed);
@@ -103,8 +102,6 @@ void ShardNode::Process(ShardJob& job) {
   for (serve::ScoredLink& link : reply.links) {
     link.record = global_of_local_[link.record];
   }
-  reply.extract_us = stats.candidates_us + stats.prefilter_us;
-  reply.rank_us = stats.score_us;
   reply.ok = true;
   SKYEX_COUNTER_INC("shard/jobs_done");
   job.reply.set_value(std::move(reply));

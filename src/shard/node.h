@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "data/spatial_entity.h"
+#include "obs/flight.h"
 #include "serve/breaker.h"
 #include "serve/queue.h"
 #include "serve/service.h"
@@ -30,14 +31,14 @@
 namespace skyex::shard {
 
 /// A shard's answer to one scattered entity. `links` carry global
-/// record indices and entity snapshots; `ok` is false when the job was
-/// skipped (cancelled by the deadline before the node reached it) or
-/// failed by fault injection.
+/// record indices and entity snapshots, `stats` the shard linker's
+/// record of the match; `ok` is false when the job was skipped
+/// (cancelled by the deadline before the node reached it) or failed by
+/// fault injection.
 struct ShardReply {
   bool ok = false;
   std::vector<serve::ScoredLink> links;
-  double extract_us = 0.0;
-  double rank_us = 0.0;
+  obs::LinkStats stats;
 };
 
 /// One scattered entity, as enqueued on a shard.

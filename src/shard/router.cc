@@ -9,7 +9,7 @@
 #include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "prof/prof.h"
 
 namespace skyex::shard {
 
@@ -64,114 +64,106 @@ std::vector<serve::LinkResult> Router::Link(
   // on its owner) before entity i+1 scatters, preserving the unsharded
   // linker's intra-batch matching.
   for (const data::SpatialEntity& entity : entities) {
-    // --- scatter ---
-    const double scatter_start = obs::TraceNowUs();
-    const std::vector<size_t> targets =
-        map_->ShardsIntersecting(entity.location, radius_m_);
-    const size_t owner = map_->OwnerOf(entity.location);
     const size_t global_index =
         next_index_.fetch_add(1, std::memory_order_relaxed);
     auto cancelled = std::make_shared<std::atomic<bool>>(false);
     std::vector<std::pair<size_t, std::future<ShardReply>>> pending;
-    pending.reserve(targets.size());
     size_t failed = 0;
-    for (size_t s : targets) {
-      ShardNode& node = *nodes_[s];
-      if (!node.breaker().Admit(NowMs())) {
-        ++failed;
-        continue;
+    {
+      SKYEX_PHASE("shard/scatter", prof::Phase::kServe, &phases->scatter_us);
+      const std::vector<size_t> targets =
+          map_->ShardsIntersecting(entity.location, radius_m_);
+      const size_t owner = map_->OwnerOf(entity.location);
+      pending.reserve(targets.size());
+      for (size_t s : targets) {
+        ShardNode& node = *nodes_[s];
+        if (!node.breaker().Admit(NowMs())) {
+          ++failed;
+          continue;
+        }
+        ShardJob job;
+        job.entity = entity;
+        job.global_index = global_index;
+        job.persist = s == owner;
+        job.cancelled = cancelled;
+        std::future<ShardReply> reply = job.reply.get_future();
+        if (node.TryEnqueue(std::move(job)) != serve::PushResult::kOk) {
+          // Backpressure says nothing about shard health.
+          node.breaker().RecordNeutral(NowMs());
+          ++failed;
+          continue;
+        }
+        pending.emplace_back(s, std::move(reply));
       }
-      ShardJob job;
-      job.entity = entity;
-      job.global_index = global_index;
-      job.persist = s == owner;
-      job.cancelled = cancelled;
-      std::future<ShardReply> reply = job.reply.get_future();
-      if (node.TryEnqueue(std::move(job)) != serve::PushResult::kOk) {
-        // Backpressure says nothing about shard health.
-        node.breaker().RecordNeutral(NowMs());
-        ++failed;
-        continue;
-      }
-      pending.emplace_back(s, std::move(reply));
-    }
-    if (phases != nullptr) {
-      phases->scatter_us += obs::TraceNowUs() - scatter_start;
       phases->shards_touched += static_cast<uint32_t>(targets.size());
     }
 
-    // --- shard_link ---
-    const double link_start = obs::TraceNowUs();
     std::vector<serve::ScoredLink> gathered;
     size_t succeeded = 0;
-    for (auto& [s, reply_future] : pending) {
-      bool timed_out = false;
-      if (deadline_at > 0) {
-        const int64_t remaining = deadline_at - NowMs();
-        timed_out =
-            remaining <= 0 ||
-            reply_future.wait_for(std::chrono::milliseconds(remaining)) !=
-                std::future_status::ready;
+    {
+      SKYEX_PHASE("shard/shard_link", prof::Phase::kServe,
+                  &phases->shard_link_us);
+      for (auto& [s, reply_future] : pending) {
+        bool timed_out = false;
+        if (deadline_at > 0) {
+          const int64_t remaining = deadline_at - NowMs();
+          timed_out =
+              remaining <= 0 ||
+              reply_future.wait_for(std::chrono::milliseconds(remaining)) !=
+                  std::future_status::ready;
+        }
+        if (timed_out) {
+          cancelled->store(true, std::memory_order_relaxed);
+          nodes_[s]->breaker().RecordFailure(NowMs());
+          SKYEX_COUNTER_INC("shard/scatter_timeouts");
+          ++failed;
+          continue;
+        }
+        ShardReply reply = reply_future.get();
+        if (!reply.ok) {
+          nodes_[s]->breaker().RecordFailure(NowMs());
+          ++failed;
+          continue;
+        }
+        nodes_[s]->breaker().RecordSuccess(NowMs());
+        ++succeeded;
+        phases->link += reply.stats;
+        std::move(reply.links.begin(), reply.links.end(),
+                  std::back_inserter(gathered));
       }
-      if (timed_out) {
-        cancelled->store(true, std::memory_order_relaxed);
-        nodes_[s]->breaker().RecordFailure(NowMs());
-        SKYEX_COUNTER_INC("shard/scatter_timeouts");
-        ++failed;
-        continue;
-      }
-      ShardReply reply = reply_future.get();
-      if (!reply.ok) {
-        nodes_[s]->breaker().RecordFailure(NowMs());
-        ++failed;
-        continue;
-      }
-      nodes_[s]->breaker().RecordSuccess(NowMs());
-      ++succeeded;
-      if (phases != nullptr) {
-        phases->extract_us += reply.extract_us;
-        phases->rank_us += reply.rank_us;
-      }
-      std::move(reply.links.begin(), reply.links.end(),
-                std::back_inserter(gathered));
-    }
-    if (phases != nullptr) {
-      phases->shard_link_us += obs::TraceNowUs() - link_start;
       phases->shards_failed += static_cast<uint32_t>(failed);
     }
 
-    // --- gather ---
-    const double gather_start = obs::TraceNowUs();
     serve::LinkResult result;
-    result.record_index = global_index;
-    result.degraded = failed > 0;
-    if (succeeded > 0 || failed == 0) {
-      std::sort(gathered.begin(), gathered.end(),
-                [](const serve::ScoredLink& a, const serve::ScoredLink& b) {
-                  return serve::LinkRankBefore(a.score, a.snapshot.id,
-                                               a.record, b.score,
-                                               b.snapshot.id, b.record);
-                });
-      result.links.reserve(gathered.size());
-      std::vector<const data::SpatialEntity*> cluster;
-      cluster.reserve(gathered.size() + 1);
-      for (const serve::ScoredLink& link : gathered) {
-        result.links.push_back(serve::LinkedRecord{
-            link.record, link.snapshot.id, link.snapshot.name,
-            std::string(data::SourceName(link.snapshot.source))});
-        cluster.push_back(&link.snapshot);
+    {
+      SKYEX_PHASE("shard/gather", prof::Phase::kServe, &phases->gather_us);
+      result.record_index = global_index;
+      result.degraded = failed > 0;
+      if (succeeded > 0 || failed == 0) {
+        std::sort(gathered.begin(), gathered.end(),
+                  [](const serve::ScoredLink& a, const serve::ScoredLink& b) {
+                    return serve::LinkRankBefore(a.score, a.snapshot.id,
+                                                 a.record, b.score,
+                                                 b.snapshot.id, b.record);
+                  });
+        result.links.reserve(gathered.size());
+        std::vector<const data::SpatialEntity*> cluster;
+        cluster.reserve(gathered.size() + 1);
+        for (const serve::ScoredLink& link : gathered) {
+          result.links.push_back(serve::LinkedRecord{
+              link.record, link.snapshot.id, link.snapshot.name,
+              std::string(data::SourceName(link.snapshot.source))});
+          cluster.push_back(&link.snapshot);
+        }
+        cluster.push_back(&entity);
+        result.merged = core::MergeRecords(cluster);
+      } else {
+        // Every target lost: nothing to merge beyond the entity itself.
+        result.merged = entity;
       }
-      cluster.push_back(&entity);
-      result.merged = core::MergeRecords(cluster);
-    } else {
-      // Every target lost: nothing to merge beyond the entity itself.
-      result.merged = entity;
-    }
-    SKYEX_COUNTER_INC("serve/link_requests");
-    SKYEX_COUNTER_ADD("serve/linked_records", result.links.size());
-    if (result.degraded) SKYEX_COUNTER_INC("shard/degraded_results");
-    if (phases != nullptr) {
-      phases->gather_us += obs::TraceNowUs() - gather_start;
+      SKYEX_COUNTER_INC("serve/link_requests");
+      SKYEX_COUNTER_ADD("serve/linked_records", result.links.size());
+      if (result.degraded) SKYEX_COUNTER_INC("shard/degraded_results");
     }
     results.push_back(std::move(result));
   }

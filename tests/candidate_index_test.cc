@@ -18,6 +18,7 @@
 #include "eval/sampling.h"
 #include "geo/distance.h"
 #include "geo/radius_grid.h"
+#include "par/thread_pool.h"
 #include "quality/audit_log.h"
 
 namespace skyex::core {
@@ -100,7 +101,7 @@ class CandidateIndex : public ::testing::Test {
       for (size_t i = 0; i < store.size(); ++i) expected.push_back(i);
     }
     quality::MatchCapture capture;
-    AddRecordStats stats;
+    obs::LinkStats stats;
     const std::vector<ScoredMatch> captured =
         linker->MatchRecord(arrival, &stats, &capture);
     // With capture on, every candidate leaves exactly one decision
@@ -224,6 +225,56 @@ TEST_F(CandidateIndex, ExactRadiusAndZeroRadiusEqualFrozenScan) {
     candidates += MatchAndAppend(linker.get(), world[k], 0.0);
   }
   EXPECT_GE(candidates, 200u / 7);  // at least each record's own copy
+}
+
+// A coordinate-less arrival takes every stored record as a candidate;
+// above 2,048 of them the scoring fans out over the pool. Capturing
+// must not change that path's answer: the decisions come out in
+// candidate order and the links and scores equal the uncaptured call's.
+TEST_F(CandidateIndex, CapturedParallelScoringKeepsCandidateOrder) {
+  const data::Dataset& world = prepared_->dataset;
+  data::Dataset store = world;
+  for (const data::SpatialEntity& e : world.entities) {
+    data::SpatialEntity copy = e;
+    copy.id += 1000000;
+    store.entities.push_back(copy);
+  }
+  ASSERT_GE(store.size(), 2048u);
+  IncrementalLinkerOptions options;  // prefilter off: every record scores
+  IncrementalLinker linker(
+      store, features::LgmXExtractor::FromCorpus(world),
+      SkyExTModel{model_->preference->Clone(), model_->cutoff_ratio, {}, {},
+                  0.0},
+      prepared_->features, *accepted_, options);
+  const data::SpatialEntity arrival = At(world[7], 0.0, 0.0, false);
+
+  par::ThreadPool::SetGlobalThreads(2);
+  quality::MatchCapture capture;
+  const std::vector<ScoredMatch> captured =
+      linker.MatchRecord(arrival, nullptr, &capture);
+  const std::vector<ScoredMatch> plain = linker.MatchRecord(arrival);
+  par::ThreadPool::SetGlobalThreads(0);
+
+  ASSERT_EQ(capture.decisions.size(), store.size());
+  size_t accepted = 0;
+  for (size_t k = 0; k < capture.decisions.size(); ++k) {
+    const quality::CandidateDecision& decision = capture.decisions[k];
+    ASSERT_EQ(decision.candidate_index, k);
+    EXPECT_TRUE(decision.scored);
+    if (decision.accepted) {
+      ASSERT_LT(accepted, captured.size());
+      EXPECT_EQ(captured[accepted].index, k);
+      EXPECT_EQ(captured[accepted].score, decision.score);
+      ++accepted;
+    }
+  }
+  EXPECT_EQ(accepted, captured.size());
+  ASSERT_FALSE(plain.empty());
+  ASSERT_EQ(plain.size(), captured.size());
+  for (size_t k = 0; k < plain.size(); ++k) {
+    EXPECT_EQ(plain[k].index, captured[k].index);
+    EXPECT_EQ(plain[k].score, captured[k].score);
+  }
 }
 
 }  // namespace

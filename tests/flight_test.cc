@@ -117,8 +117,8 @@ TEST(FlightTest, WriteJsonParsesBackWithAllSections) {
   timeline.parse_us = 10.0;
   timeline.queue_wait_us = 20.0;
   timeline.batch_wait_us = 30.0;
-  timeline.extract_us = 400.0;
-  timeline.rank_us = 600.0;
+  timeline.link.extract_us = 400.0;
+  timeline.link.rank_us = 600.0;
   timeline.serialize_us = 50.0;
   timeline.batch_size = 3;
   timeline.degraded = true;

@@ -4,6 +4,7 @@
 // the collapsed-stack / JSON export formats. Tests that need live
 // timers GTEST_SKIP when the platform refuses them (non-Linux).
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,6 +39,20 @@ extern "C" __attribute__((noipa)) double skyex_prof_test_burn(
 
 namespace skyex {
 namespace {
+
+// Returns its caller's return address: a program counter inside the
+// caller's body.
+__attribute__((noinline)) void* CallerPc() {
+  return __builtin_return_address(0);
+}
+
+// Internal linkage: the dynamic symbol table dladdr reads does not list
+// this function, only the executable's .symtab does. Returns a program
+// counter inside its own body.
+__attribute__((noinline)) void* PcInsideLocalFunction() {
+  void* volatile pc = CallerPc();  // volatile: no tail call
+  return pc;
+}
 
 class ProfTest : public ::testing::Test {
  protected:
@@ -311,6 +326,25 @@ TEST_F(ProfTest, CollapsedOutputContainsKnownHotFunction) {
     for (char c : count) ASSERT_TRUE(c >= '0' && c <= '9') << line;
     EXPECT_GT(std::stoull(count), 0u);
   }
+}
+
+TEST_F(ProfTest, CollapseNamesLocalFunctions) {
+  void* pc = PcInsideLocalFunction();
+  ASSERT_NE(pc, nullptr);
+  Dl_info info;
+  ASSERT_TRUE(::dladdr(pc, &info) == 0 || info.dli_sname == nullptr)
+      << "dladdr names the local function: " << info.dli_sname;
+
+  prof::Profile profile;
+  prof::Profile::Entry entry;
+  entry.phase = prof::Phase::kServe;
+  entry.frames = {pc};
+  entry.count = 3;
+  profile.entries.push_back(entry);
+  const std::string collapsed = prof::CollapseProfile(profile);
+  EXPECT_NE(collapsed.find("(anonymous namespace)::PcInsideLocalFunction"),
+            std::string::npos)
+      << collapsed;
 }
 
 TEST_F(ProfTest, ProfileJsonParses) {

@@ -18,6 +18,7 @@
 #include "fault/fault.h"
 #include "geo/distance.h"
 #include "geo/point.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "serve/http.h"
 #include "serve/json_writer.h"
@@ -310,6 +311,44 @@ TEST(ShardServeTest, FourShardsFindTheSameLinksAsUnsharded) {
     ASSERT_EQ(rb->status, 200);
     EXPECT_EQ(ra->body, rb->body) << "entity " << i;
   }
+}
+
+// A sharded request's /debug/flight timeline carries the shards' whole
+// linker record: the prefilter and text-cache numbers too, not only the
+// extract and rank times.
+TEST(ShardServeTest, FlightTimelineCarriesTheShardLinkerRecord) {
+  obs::FlightRecorder::Global().ResetForTest();
+  TestDeployment sharded = StartSharded(2);
+  serve::HttpClient client("127.0.0.1", sharded.port());
+  ASSERT_TRUE(client.ok());
+  const auto link = client.Request(
+      "POST", "/v1/link", LinkBody(DuplicateEntity(925001)),
+      "application/json", {{"X-Request-Id", "00000000cafe0b01"}});
+  ASSERT_TRUE(link.has_value());
+  ASSERT_EQ(link->status, 200);
+
+  const auto flight = client.Request("GET", "/debug/flight");
+  ASSERT_TRUE(flight.has_value());
+  std::string error;
+  const auto json = obs::json::Parse(flight->body, &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  const obs::json::Value* ours = nullptr;
+  for (const auto& entry : json->Find("recent")->array_v) {
+    const auto* rid = entry.Find("request_id");
+    if (rid != nullptr && rid->string_v == "00000000cafe0b01") ours = &entry;
+  }
+  ASSERT_NE(ours, nullptr) << flight->body;
+  EXPECT_GE(ours->Find("shards_touched")->number_v, 1.0);
+  // Every candidate of a located duplicate went through the text cache.
+  EXPECT_GT(ours->Find("lru_hits")->number_v +
+                ours->Find("lru_misses")->number_v,
+            0.0)
+      << flight->body;
+  EXPECT_GE(ours->Find("extract_us")->number_v,
+            ours->Find("prefilter_us")->number_v);
+  EXPECT_GT(ours->Find("extract_us")->number_v +
+                ours->Find("rank_us")->number_v,
+            0.0);
 }
 
 TEST(ShardServeTest, AppendsAreMatchableAcrossRequests) {

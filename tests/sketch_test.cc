@@ -273,7 +273,7 @@ TEST_F(PrefilterServingTest, ThresholdZeroIsBitIdenticalAndFilterIsSafe) {
       probe.id = 900000 + i;
       probe.location.lat += 1e-5;
 
-      core::AddRecordStats cs, us, fs;
+      obs::LinkStats cs, us, fs;
       const auto expect = cached.MatchRecord(probe, &cs);
       const auto got = uncached.MatchRecord(probe, &us);
 
@@ -331,7 +331,7 @@ TEST_F(PrefilterServingTest, ThresholdZeroIsBitIdenticalAndFilterIsSafe) {
   stranger.address_name = "anden vej";
   stranger.address_number = 99;
   stranger.location = d.dataset[0].location;
-  core::AddRecordStats ss;
+  obs::LinkStats ss;
   filtered.MatchRecord(stranger, &ss);
   ASSERT_GT(ss.candidates, 0u);
   EXPECT_GT(ss.prefilter_dropped, 0u);
