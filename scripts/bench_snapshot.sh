@@ -15,12 +15,14 @@
 # degenerates to the serial path and speedups hover around 1.0 — the
 # recorded host_cpus field says which case a snapshot captured.
 #
-# Profiler snapshot: boots skyex_serve twice — sampler off, then armed
-# at 97 Hz — drives each with skyex_loadgen for [reps] timed runs, and
-# writes BENCH_prof.json with the median-throughput overhead of the
-# always-on profiler plus a per-phase CPU-attribution table and the
-# top-10 functions by self samples, scraped from /debug/pprof/profile
-# under load:
+# Profiler snapshot: for each of [reps] repetitions boots a fresh
+# skyex_serve per leg — sampler off and armed at 97 Hz, the legs taking
+# turns to go first — warms it up and times one skyex_loadgen run, so
+# every timed run starts from the same store size. Writes
+# BENCH_prof.json with the median-throughput overhead of the always-on
+# profiler plus a per-phase CPU-attribution table and the top-10
+# functions by self samples, scraped from /debug/pprof/profile under
+# load on a separate profiler-on server:
 #
 #   scripts/bench_snapshot.sh --prof [build-dir] [reps]
 #
@@ -80,7 +82,9 @@ if [ "${1:-}" = "--prof" ]; then
   OUT="BENCH_prof.json"
   TMP_DIR="$(mktemp -d)"
   SERVER_PID=""
+  LOAD_PID=""
   cleanup() {
+    [ -n "$LOAD_PID" ] && kill -TERM "$LOAD_PID" 2>/dev/null || true
     [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
     rm -rf "$TMP_DIR"
   }
@@ -128,27 +132,53 @@ if [ "${1:-}" = "--prof" ]; then
       --connections="${2:-4}" --entities=100 --seed=41 | tee "$1"
   }
 
-  for leg in off on; do
-    if [ "$leg" = "on" ]; then
+  # A loadgen run links and appends its 600 records to the served
+  # store, so a server reused across repetitions slows from one to the
+  # next. Each timed run gets its own server instead: boot, warm up,
+  # time one run, stop.
+  timed_run() {  # args: leg (off|on), repetition
+    if [ "$1" = "on" ]; then
       boot_server --profile-hz=97
     else
       boot_server --profile-hz=0
     fi
-    echo "=== loadgen (profiler $leg, port $PORT) ==="
-    run_loadgen "$TMP_DIR/warmup_${leg}.txt" >/dev/null  # warmup
-    for rep in $(seq "$REPS"); do
-      run_loadgen "$TMP_DIR/loadgen_${leg}_${rep}.txt"
+    run_loadgen "$TMP_DIR/warmup.txt" >/dev/null
+    echo "=== loadgen (profiler $1, repetition $2, port $PORT) ==="
+    run_loadgen "$TMP_DIR/loadgen_$1_$2.txt"
+    stop_server
+  }
+  for rep in $(seq "$REPS"); do
+    if [ $((rep % 2)) -eq 1 ]; then
+      timed_run off "$rep"
+      timed_run on "$rep"
+    else
+      timed_run on "$rep"
+      timed_run off "$rep"
+    fi
+  done
+
+  # Scrape the attribution profile on its own profiler-on server while a
+  # background load runs, so the window sees the real
+  # serve/extraction/skyline mix. The load uses one connection fewer
+  # than the server has workers: each worker owns a connection, so a
+  # saturating closed-loop load would starve the scrape connection until
+  # the load ends — and the window would cover an idle server. One
+  # loadgen run can end inside the first window, so the load repeats
+  # until both windows and the heap fetch are done.
+  boot_server --profile-hz=97
+  run_loadgen "$TMP_DIR/warmup.txt" >/dev/null
+  (
+    RUN_PID=""
+    trap 'kill "$RUN_PID" 2>/dev/null; exit 0' TERM
+    while :; do
+      "$BUILD_DIR/tools/skyex_loadgen" --port="$PORT" --requests=600 \
+        --connections=3 --entities=100 --seed=41 >/dev/null &
+      RUN_PID=$!
+      wait "$RUN_PID" || true
     done
-    if [ "$leg" = "on" ]; then
-      # Scrape the attribution profile while a background load runs so
-      # the window sees the real serve/extraction/skyline mix. The load
-      # uses one connection fewer than the server has workers: each
-      # worker owns a connection, so a saturating closed-loop load
-      # would starve the scrape connection until the load ends — and
-      # the window would cover an idle server.
-      run_loadgen "$TMP_DIR/loadgen_scrape.txt" 3 >/dev/null &
-      LOAD_PID=$!
-      python3 - "$PORT" "$TMP_DIR" <<'EOF'
+  ) &
+  LOAD_PID=$!
+  python3 - "$PORT" "$TMP_DIR" <<'EOF'
 import sys, urllib.request
 port, tmp = sys.argv[1], sys.argv[2]
 base = f"http://127.0.0.1:{port}/debug/pprof"
@@ -161,10 +191,10 @@ for url, path in [
         with open(path, "wb") as f:
             f.write(r.read())
 EOF
-      wait "$LOAD_PID" || true
-    fi
-    stop_server
-  done
+  kill -TERM "$LOAD_PID"
+  wait "$LOAD_PID" || true
+  LOAD_PID=""
+  stop_server
 
   python3 - "$TMP_DIR" "$REPS" "$OUT" <<'EOF'
 import json, os, re, statistics, sys
@@ -261,7 +291,9 @@ if [ "${1:-}" = "--extract" ]; then
   OUT="BENCH_extract.json"
   TMP_DIR="$(mktemp -d)"
   SERVER_PID=""
+  LOAD_PID=""
   cleanup() {
+    [ -n "$LOAD_PID" ] && kill -TERM "$LOAD_PID" 2>/dev/null || true
     [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
     rm -rf "$TMP_DIR"
   }
@@ -414,7 +446,9 @@ if [ "${1:-}" = "--shard" ]; then
   OUT="BENCH_shard.json"
   TMP_DIR="$(mktemp -d)"
   SERVER_PID=""
+  LOAD_PID=""
   cleanup() {
+    [ -n "$LOAD_PID" ] && kill -TERM "$LOAD_PID" 2>/dev/null || true
     [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
     rm -rf "$TMP_DIR"
   }

@@ -11,24 +11,9 @@ std::vector<size_t> DeduplicateFeatures(
     const ml::FeatureMatrix& matrix, const std::vector<size_t>& rows,
     const FeatureSelectionOptions& options) {
   const size_t cols = matrix.cols;
-  std::vector<std::vector<double>> mi =
-      ml::PairwiseNormalizedMi(matrix, rows, options.mi_bins);
-  // Blend in |Pearson| (see FeatureSelectionOptions::mi_threshold).
-  {
-    std::vector<std::vector<double>> columns(cols);
-    for (size_t c = 0; c < cols; ++c) {
-      columns[c].reserve(rows.size());
-      for (size_t r : rows) columns[c].push_back(matrix.At(r, c));
-    }
-    for (size_t a = 0; a < cols; ++a) {
-      for (size_t b = a + 1; b < cols; ++b) {
-        const double rho =
-            std::abs(ml::PearsonCorrelation(columns[a], columns[b]));
-        mi[a][b] = std::max(mi[a][b], rho);
-        mi[b][a] = mi[a][b];
-      }
-    }
-  }
+  // max(NMI, |Pearson|); see FeatureSelectionOptions::mi_threshold.
+  const std::vector<std::vector<double>> mi =
+      ml::PairwiseRedundancy(matrix, rows, options.mi_bins);
 
   std::vector<bool> alive(cols, true);
   for (;;) {

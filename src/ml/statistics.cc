@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "par/parallel_for.h"
 
 namespace skyex::ml {
 
@@ -47,10 +50,12 @@ double FeatureClassCorrelation(const FeatureMatrix& matrix, size_t column,
 
 namespace {
 
+using Matrix = std::vector<std::vector<double>>;
+
 // Equal-width discretization into `bins` buckets; constant vectors map
 // to bucket 0.
-std::vector<size_t> Discretize(const std::vector<double>& x, size_t bins) {
-  std::vector<size_t> out(x.size(), 0);
+std::vector<uint32_t> Discretize(const std::vector<double>& x, size_t bins) {
+  std::vector<uint32_t> out(x.size(), 0);
   if (x.empty()) return out;
   const auto [min_it, max_it] = std::minmax_element(x.begin(), x.end());
   const double lo = *min_it;
@@ -58,8 +63,8 @@ std::vector<size_t> Discretize(const std::vector<double>& x, size_t bins) {
   if (hi <= lo) return out;
   const double width = (hi - lo) / static_cast<double>(bins);
   for (size_t i = 0; i < x.size(); ++i) {
-    size_t b = static_cast<size_t>((x[i] - lo) / width);
-    out[i] = std::min(b, bins - 1);
+    const size_t b = static_cast<size_t>((x[i] - lo) / width);
+    out[i] = static_cast<uint32_t>(std::min(b, bins - 1));
   }
   return out;
 }
@@ -70,27 +75,15 @@ size_t DefaultBins(size_t n) {
                                  static_cast<double>(n))));
 }
 
-struct JointCounts {
-  std::vector<double> px;
-  std::vector<double> py;
-  std::vector<double> pxy;  // bins_x * bins_y
-  size_t bins = 0;
-};
-
-JointCounts CountJoint(const std::vector<size_t>& bx,
-                       const std::vector<size_t>& by, size_t bins) {
-  JointCounts c;
-  c.bins = bins;
-  c.px.assign(bins, 0.0);
-  c.py.assign(bins, 0.0);
-  c.pxy.assign(bins * bins, 0.0);
-  const double inv_n = 1.0 / static_cast<double>(bx.size());
-  for (size_t i = 0; i < bx.size(); ++i) {
-    c.px[bx[i]] += inv_n;
-    c.py[by[i]] += inv_n;
-    c.pxy[bx[i] * bins + by[i]] += inv_n;
-  }
-  return c;
+// prob[k] is 1/n added k times in sequence to 0.0. Probabilities are read
+// from it by integer count rather than computed as k * (1/n), which
+// rounds differently: the estimator has always accumulated 1/n once per
+// row, and the table keeps every probability that same double.
+std::vector<double> ProbabilityTable(size_t n) {
+  std::vector<double> prob(n + 1, 0.0);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (size_t k = 1; k <= n; ++k) prob[k] = prob[k - 1] + inv_n;
+  return prob;
 }
 
 double Entropy(const std::vector<double>& p) {
@@ -101,17 +94,124 @@ double Entropy(const std::vector<double>& p) {
   return h;
 }
 
-double MiFromCounts(const JointCounts& c) {
+// One column binned over the sample, once for every pair it is in.
+struct BinnedColumn {
+  std::vector<uint32_t> codes;  // bin of each row
+  std::vector<double> p;        // marginal distribution of the bins
+  double entropy = 0.0;
+};
+
+// Bins all of `x`; the marginal counts its first `n` rows.
+BinnedColumn Bin(const std::vector<double>& x, size_t n, size_t bins,
+                 const std::vector<double>& prob) {
+  BinnedColumn column;
+  column.codes = Discretize(x, bins);
+  std::vector<size_t> counts(bins, 0);
+  for (size_t i = 0; i < n; ++i) ++counts[column.codes[i]];
+  column.p.resize(bins);
+  for (size_t b = 0; b < bins; ++b) column.p[b] = prob[counts[b]];
+  column.entropy = Entropy(column.p);
+  return column;
+}
+
+// A pair's joint histogram over the first `n` rows, in integer counts.
+std::vector<uint32_t> CountJoint(const BinnedColumn& x,
+                                 const BinnedColumn& y, size_t n,
+                                 size_t bins) {
+  std::vector<uint32_t> joint(bins * bins, 0);
+  for (size_t i = 0; i < n; ++i) ++joint[x.codes[i] * bins + y.codes[i]];
+  return joint;
+}
+
+// MI of a pair, summed over its joint cells in (i, j) order and skipping
+// empty cells.
+double Mi(const BinnedColumn& x, const BinnedColumn& y, size_t n,
+          size_t bins, const std::vector<double>& prob) {
+  const std::vector<uint32_t> joint = CountJoint(x, y, n, bins);
   double mi = 0.0;
-  for (size_t i = 0; i < c.bins; ++i) {
-    for (size_t j = 0; j < c.bins; ++j) {
-      const double joint = c.pxy[i * c.bins + j];
-      if (joint <= 0.0) continue;
-      const double denom = c.px[i] * c.py[j];
-      if (denom > 0.0) mi += joint * std::log(joint / denom);
+  for (size_t i = 0; i < bins; ++i) {
+    for (size_t j = 0; j < bins; ++j) {
+      const uint32_t count = joint[i * bins + j];
+      if (count == 0) continue;
+      const double p = prob[count];
+      const double denom = x.p[i] * y.p[j];
+      if (denom > 0.0) mi += p * std::log(p / denom);
     }
   }
   return std::max(0.0, mi);
+}
+
+double Nmi(const BinnedColumn& x, const BinnedColumn& y, size_t n,
+           size_t bins, const std::vector<double>& prob) {
+  if (x.entropy <= 0.0 || y.entropy <= 0.0) return 0.0;
+  return std::min(1.0, Mi(x, y, n, bins, prob) /
+                           std::sqrt(x.entropy * y.entropy));
+}
+
+std::vector<double> Gather(const FeatureMatrix& matrix,
+                           const std::vector<size_t>& rows, size_t column) {
+  std::vector<double> x;
+  x.reserve(rows.size());
+  for (size_t r : rows) x.push_back(matrix.At(r, column));
+  return x;
+}
+
+// Runs fn(c) for every column on the pool.
+template <typename Fn>
+void ForEachColumn(size_t cols, Fn&& fn) {
+  par::ForOptions options;
+  options.chunking = par::Chunking::kDynamic;
+  par::ParallelFor(0, cols, options, fn);
+}
+
+// Runs score(a, b) for every pair a < b, with the triangle's rows spread
+// over the pool (dynamically: row a holds cols - 1 - a pairs). Each call
+// writes only its own pair's cells.
+template <typename Score>
+void ForEachPair(size_t cols, Score&& score) {
+  ForEachColumn(cols, [&](size_t a) {
+    for (size_t b = a + 1; b < cols; ++b) score(a, b);
+  });
+}
+
+// One column over the sample minus its mean, in row order, and the sum
+// of its squares: the moments PearsonCorrelation takes, once per column.
+struct CentredColumn {
+  std::vector<double> values;
+  double var = 0.0;
+};
+
+CentredColumn Centre(std::vector<double> x) {
+  double mean = 0.0;
+  for (double v : x) mean += v;
+  mean /= static_cast<double>(x.size());
+  CentredColumn column;
+  for (double& v : x) {
+    v -= mean;
+    column.var += v * v;
+  }
+  column.values = std::move(x);
+  return column;
+}
+
+// Raises every off-diagonal cell to |Pearson| where that is larger.
+void BlendPearson(const FeatureMatrix& matrix,
+                  const std::vector<size_t>& rows, Matrix* scores) {
+  std::vector<CentredColumn> columns(matrix.cols);
+  ForEachColumn(matrix.cols, [&](size_t c) {
+    columns[c] = Centre(Gather(matrix, rows, c));
+  });
+  ForEachPair(matrix.cols, [&](size_t a, size_t b) {
+    const CentredColumn& x = columns[a];
+    const CentredColumn& y = columns[b];
+    double cov = 0.0;
+    for (size_t i = 0; i < rows.size(); ++i) cov += x.values[i] * y.values[i];
+    const double rho =
+        x.var <= 0.0 || y.var <= 0.0 ? 0.0 : cov / std::sqrt(x.var * y.var);
+    double& cell = (*scores)[a][b];
+    cell = std::max(cell, std::abs(rho));
+    (*scores)[b][a] = cell;
+  });
 }
 
 }  // namespace
@@ -121,9 +221,8 @@ double MutualInformation(const std::vector<double>& x,
   const size_t n = std::min(x.size(), y.size());
   if (n < 2) return 0.0;
   if (bins == 0) bins = DefaultBins(n);
-  const std::vector<size_t> bx = Discretize(x, bins);
-  const std::vector<size_t> by = Discretize(y, bins);
-  return MiFromCounts(CountJoint(bx, by, bins));
+  const std::vector<double> prob = ProbabilityTable(n);
+  return Mi(Bin(x, n, bins, prob), Bin(y, n, bins, prob), n, bins, prob);
 }
 
 double NormalizedMutualInformation(const std::vector<double>& x,
@@ -132,35 +231,40 @@ double NormalizedMutualInformation(const std::vector<double>& x,
   const size_t n = std::min(x.size(), y.size());
   if (n < 2) return 0.0;
   if (bins == 0) bins = DefaultBins(n);
-  const std::vector<size_t> bx = Discretize(x, bins);
-  const std::vector<size_t> by = Discretize(y, bins);
-  const JointCounts c = CountJoint(bx, by, bins);
-  const double hx = Entropy(c.px);
-  const double hy = Entropy(c.py);
-  if (hx <= 0.0 || hy <= 0.0) return 0.0;
-  return std::min(1.0, MiFromCounts(c) / std::sqrt(hx * hy));
+  const std::vector<double> prob = ProbabilityTable(n);
+  return Nmi(Bin(x, n, bins, prob), Bin(y, n, bins, prob), n, bins, prob);
 }
 
 std::vector<std::vector<double>> PairwiseNormalizedMi(
     const FeatureMatrix& matrix, const std::vector<size_t>& rows,
     size_t bins) {
   const size_t cols = matrix.cols;
-  std::vector<std::vector<double>> mi(cols, std::vector<double>(cols, 0.0));
-  std::vector<std::vector<double>> columns(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    columns[c].reserve(rows.size());
-    for (size_t r : rows) columns[c].push_back(matrix.At(r, c));
-  }
-  for (size_t a = 0; a < cols; ++a) {
-    mi[a][a] = 1.0;
-    for (size_t b = a + 1; b < cols; ++b) {
-      const double v = NormalizedMutualInformation(columns[a], columns[b],
-                                                   bins);
-      mi[a][b] = v;
-      mi[b][a] = v;
-    }
-  }
-  return mi;
+  Matrix scores(cols, std::vector<double>(cols, 0.0));
+  for (size_t c = 0; c < cols; ++c) scores[c][c] = 1.0;
+  const size_t n = rows.size();
+  if (n < 2) return scores;
+  if (bins == 0) bins = DefaultBins(n);
+  const std::vector<double> prob = ProbabilityTable(n);
+  std::vector<BinnedColumn> columns(cols);
+  ForEachColumn(cols, [&](size_t c) {
+    columns[c] = Bin(Gather(matrix, rows, c), n, bins, prob);
+  });
+  ForEachPair(cols, [&](size_t a, size_t b) {
+    const double v = Nmi(columns[a], columns[b], n, bins, prob);
+    scores[a][b] = v;
+    scores[b][a] = v;
+  });
+  return scores;
+}
+
+std::vector<std::vector<double>> PairwiseRedundancy(
+    const FeatureMatrix& matrix, const std::vector<size_t>& rows,
+    size_t bins) {
+  // The bin codes are freed before the centred columns are taken, so
+  // the step holds at most one copy of the sample.
+  Matrix scores = PairwiseNormalizedMi(matrix, rows, bins);
+  if (rows.size() >= 2) BlendPearson(matrix, rows, &scores);
+  return scores;
 }
 
 ValueRange FiniteRange(const std::vector<double>& values) {

@@ -31,8 +31,20 @@ double NormalizedMutualInformation(const std::vector<double>& x,
                                    size_t bins = 0);
 
 /// Pairwise normalized mutual information of feature columns over the
-/// given rows. Returns a cols×cols symmetric matrix (diagonal 1).
+/// given rows. Returns a cols×cols symmetric matrix (diagonal 1). Each
+/// column is binned once; the column pairs run on the shared pool, and
+/// every cell is the same double NormalizedMutualInformation gives for
+/// its two columns, at any thread count.
 std::vector<std::vector<double>> PairwiseNormalizedMi(
+    const FeatureMatrix& matrix, const std::vector<size_t>& rows,
+    size_t bins = 0);
+
+/// Pairwise redundancy of feature columns over the given rows:
+/// max(normalized MI, |Pearson|) per pair, the score feature
+/// de-duplication thresholds (core::FeatureSelectionOptions). Computed
+/// as PairwiseNormalizedMi, with each column's mean and variance taken
+/// once; every cell equals the per-pair PearsonCorrelation blend.
+std::vector<std::vector<double>> PairwiseRedundancy(
     const FeatureMatrix& matrix, const std::vector<size_t>& rows,
     size_t bins = 0);
 

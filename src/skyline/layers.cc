@@ -30,8 +30,10 @@ SkylinePeeler::SkylinePeeler(const ml::FeatureMatrix& matrix,
       compiled_(Compile(preference)),
       order_(std::move(rows)) {
   if (!compiled_.has_value()) return;
-  // Pre-sort by the dominance-compatible lexicographic key: a dominating
-  // row always sorts strictly before the rows it dominates.
+  // Pre-sort in the dominance-compatible order of PresortCompare (group
+  // sums, with each group's terms breaking ties of its rounded sum): a
+  // dominating row always sorts strictly before the rows it dominates.
+  // The rows are read only when two keys tie.
   const size_t key_size = compiled_->KeySize();
   std::vector<double> keys(order_.size() * key_size);
   par::ForOptions key_options;
@@ -46,9 +48,11 @@ SkylinePeeler::SkylinePeeler(const ml::FeatureMatrix& matrix,
             [&](size_t x, size_t y) {
               const double* kx = keys.data() + x * key_size;
               const double* ky = keys.data() + y * key_size;
-              for (size_t g = 0; g < key_size; ++g) {
-                if (kx[g] != ky[g]) return kx[g] > ky[g];
-              }
+              // Most rows differ in group 1's sum: decide those inline.
+              if (key_size > 0 && kx[0] != ky[0]) return kx[0] > ky[0];
+              const Comparison c = compiled_->PresortCompare(
+                  matrix_.Row(order_[x]), kx, matrix_.Row(order_[y]), ky);
+              if (c != Comparison::kEqual) return c == Comparison::kBetter;
               return order_[x] < order_[y];  // stable tie-break
             });
   std::vector<size_t> sorted;

@@ -20,10 +20,11 @@ namespace skyex::skyline {
 ///
 /// Implementation: block-nested-loop peeling. When the preference
 /// compiles to the canonical priority-of-Pareto-groups form, rows are
-/// pre-sorted by a dominance-compatible lexicographic key, which makes
-/// each pass a pure window scan (a row can only be dominated by rows
-/// sorted before it). General preference trees fall back to full BNL
-/// with window eviction.
+/// pre-sorted in a dominance-compatible order (group sums, each tie
+/// broken by that group's terms; CompiledPreference::PresortCompare),
+/// which makes each pass a pure window scan (a row can only be
+/// dominated by rows sorted before it). General preference trees fall
+/// back to full BNL with window eviction.
 ///
 /// Large presorted layers peel in parallel on the shared thread pool:
 /// partition-local windows over contiguous slices of the sort order are

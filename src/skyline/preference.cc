@@ -13,9 +13,10 @@ std::string FeatureName(size_t index, const std::vector<std::string>& names) {
   return "X" + std::to_string(index);
 }
 
-/// Resolves a directed-value comparison where at least one side is NaN.
-/// NaN acts as -inf in the preference's direction: it ties with -inf and
-/// with other NaNs, and loses to everything else. This keeps dominance a
+/// Compares two directed values with NaN acting as -inf in the
+/// preference's direction: it ties with -inf and with other NaNs, and
+/// loses to everything else. Compare calls it only when one side is NaN;
+/// PresortCompare uses it for every term. This keeps dominance a
 /// deterministic partial order on poisoned rows and agrees with
 /// CompiledPreference::Key, which maps NaN group sums to -inf.
 Comparison CompareWithNan(double va, double vb) {
@@ -270,6 +271,23 @@ void CompiledPreference::Key(const double* row, double* out) const {
                  ? -std::numeric_limits<double>::infinity()
                  : sum;
   }
+}
+
+Comparison CompiledPreference::PresortCompare(const double* a,
+                                              const double* key_a,
+                                              const double* b,
+                                              const double* key_b) const {
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (key_a[g] != key_b[g]) {
+      return key_a[g] > key_b[g] ? Comparison::kBetter : Comparison::kWorse;
+    }
+    for (const Term& t : groups[g]) {
+      const Comparison c =
+          CompareWithNan(t.sign * a[t.feature], t.sign * b[t.feature]);
+      if (c != Comparison::kEqual) return c;
+    }
+  }
+  return Comparison::kEqual;
 }
 
 std::optional<CompiledPreference> Compile(const Preference& preference) {

@@ -71,10 +71,26 @@ struct CompiledPreference {
 
   Comparison Compare(const double* a, const double* b) const;
 
-  /// Lexicographic sort key compatible with dominance: if a is better
-  /// than b then Key(a) is lexicographically greater than Key(b).
+  /// Lexicographic key of the group sums (a NaN sum maps to -inf). If a
+  /// is better than b then Key(a) is lexicographically greater than *or
+  /// equal to* Key(b): rounded sums are monotone, but a dominator's
+  /// larger term can vanish in rounding (1.0 against 1 - 2^-52 beside
+  /// terms that add to 4.0: both sums round to 5.0), so presorting by
+  /// the key alone can put a dominated row first. PresortCompare breaks
+  /// those ties.
   void Key(const double* row, double* out) const;
   size_t KeySize() const { return groups.size(); }
+
+  /// The presort order of the skyline peel, given both rows and their
+  /// keys: group 1's key entry, then group 1's signed terms in order
+  /// (NaN as -inf, as in Compare), then group 2's key entry, and so on.
+  /// kBetter means `a` sorts first, kWorse `b`; kEqual means the rows
+  /// tie on every entry. If a is better than b under Compare, this
+  /// returns kBetter: the groups before the deciding one are equal term
+  /// for term, so their sums are equal; at the deciding group a's sum is
+  /// no smaller, and on a tie its first differing term is the larger.
+  Comparison PresortCompare(const double* a, const double* key_a,
+                            const double* b, const double* key_b) const;
 };
 
 /// Compiles a preference tree into the canonical form; nullopt when the

@@ -107,6 +107,48 @@ TEST_F(CliTest, FullWorkflow) {
   EXPECT_EQ(RunCli("eval --in=" + entities_ + " --model=" + model_), 0);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// The thread count changes wall-clock, never results
+// (docs/parallelism.md): the pool runs the MI pairs of training and the
+// skyline peels of training and labelling.
+TEST_F(CliTest, LinkIsIdenticalAcrossThreadCounts) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=2000 --seed=7 "
+                   "--out=" + entities_),
+            0);
+  std::string linked[2];
+  std::string models[2];
+  std::string profiles[2];
+  for (const int threads : {1, 2}) {
+    const std::string suffix = std::to_string(threads);
+    const std::string threads_flag = " --threads=" + suffix;
+    const std::string out = linked_ + suffix;
+    const std::string model = model_ + suffix;
+    ASSERT_EQ(RunCli("link --in=" + entities_ + " --out=" + out +
+                     threads_flag),
+              0);
+    ASSERT_EQ(RunCli("train --in=" + entities_ + " --model-out=" + model +
+                     threads_flag),
+              0);
+    linked[threads - 1] = ReadFile(out);
+    models[threads - 1] = ReadFile(model);
+    profiles[threads - 1] = ReadFile(model + ".profile");
+    for (const std::string& path : {out, model, model + ".profile"}) {
+      std::remove(path.c_str());
+    }
+  }
+  ASSERT_FALSE(linked[0].empty());
+  ASSERT_FALSE(models[0].empty());
+  ASSERT_FALSE(profiles[0].empty());
+  EXPECT_TRUE(linked[0] == linked[1]) << "linked.csv differs";
+  EXPECT_TRUE(models[0] == models[1]) << "model differs";
+  EXPECT_TRUE(profiles[0] == profiles[1]) << "profile differs";
+}
+
 TEST_F(CliTest, CoordinateLessFirstRowStillBlocksWithQuadFlex) {
   ASSERT_EQ(RunCli("generate --dataset=northdk --entities=600 --seed=3 --out=" +
                 entities_),

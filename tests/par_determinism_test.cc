@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -110,6 +111,55 @@ TEST(ParDeterminism, PeelerEmitsIdenticalLayerSequences) {
       continue;
     }
     ASSERT_EQ(peeled.size(), reference.size());
+    for (size_t k = 0; k < peeled.size(); ++k) {
+      ASSERT_EQ(peeled[k], reference[k])
+          << "layer " << k + 1 << " diverged at threads=" << threads;
+    }
+  }
+  par::ThreadPool::SetGlobalThreads(0);
+}
+
+// Values whose group sums round together: once a group's other terms
+// add to 2, a last term of 1 or of 1 - 2^-53 gives the same sum, so a
+// dominator and the row it dominates can share every group-sum key
+// entry. The presort must still put the dominator first, or the
+// parallel peel (which never evicts) keeps the dominated row in the
+// dominator's layer.
+TEST(ParDeterminism, RoundedGroupSumTiesPeelIdenticalLayers) {
+  const double values[] = {1.0, 1.0 - std::ldexp(1.0, -53),
+                           1.0 - std::ldexp(1.0, -52), 0.5};
+  ml::FeatureMatrix m = ml::FeatureMatrix::Zeros(
+      6000, {"X0", "X1", "X2", "X3", "X4"});
+  std::mt19937_64 rng(29);
+  std::uniform_int_distribution<size_t> pick(0, 3);
+  for (double& v : m.values) v = values[pick(rng)];
+  const std::vector<size_t> rows = AllRows(m);
+  std::vector<std::unique_ptr<skyline::Preference>> group1;
+  for (size_t c = 0; c < 3; ++c) group1.push_back(skyline::High(c));
+  std::vector<std::unique_ptr<skyline::Preference>> group2;
+  for (size_t c = 3; c < 5; ++c) group2.push_back(skyline::High(c));
+  std::vector<std::unique_ptr<skyline::Preference>> groups;
+  groups.push_back(skyline::ParetoOf(std::move(group1)));
+  groups.push_back(skyline::ParetoOf(std::move(group2)));
+  const auto preference = skyline::PriorityOf(std::move(groups));
+
+  // Every layer must match in content and order.
+  std::vector<std::vector<size_t>> reference;
+  for (const size_t threads : kThreadCounts) {
+    par::ThreadPool::SetGlobalThreads(threads);
+    skyline::SkylinePeeler peeler(m, rows, *preference);
+    std::vector<std::vector<size_t>> peeled;
+    for (;;) {
+      std::vector<size_t> layer = peeler.Next();
+      if (layer.empty()) break;
+      peeled.push_back(std::move(layer));
+    }
+    if (reference.empty()) {
+      reference = std::move(peeled);
+      continue;
+    }
+    ASSERT_EQ(peeled.size(), reference.size())
+        << "layer count diverged at threads=" << threads;
     for (size_t k = 0; k < peeled.size(); ++k) {
       ASSERT_EQ(peeled[k], reference[k])
           << "layer " << k + 1 << " diverged at threads=" << threads;
