@@ -121,6 +121,10 @@ class OpaquePreference : public Preference {
   std::unique_ptr<Preference> Clone() const override {
     return std::make_unique<OpaquePreference>(inner_->Clone());
   }
+  std::unique_ptr<Preference> RemapFeatures(
+      const std::vector<size_t>& position) const override {
+    return std::make_unique<OpaquePreference>(inner_->RemapFeatures(position));
+  }
 
  private:
   std::unique_ptr<Preference> inner_;

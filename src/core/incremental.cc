@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -41,16 +43,35 @@ IncrementalLinker::IncrementalLinker(data::Dataset dataset,
   compiled_ = *compiled;
 
   // Calibrate the acceptance threshold from the accepted (positively
-  // labeled) training pairs: a low quantile of their group-sum keys
+  // labeled) calibration pairs: a low quantile of their group-sum keys
   // per priority level. This approximates the skyline cut with a scalar
   // boundary that can be checked per arriving pair in O(features) —
   // the streaming trade-off the paper's future-work section hints at.
   if (accepted_rows.empty()) return;
+  // The calibration matrix may hold every LGM-X column or only the ones
+  // the preference reads (the serving bootstrap extracts just those), so
+  // each term finds its column by name.
+  skyline::CompiledPreference calibration = compiled_;
+  for (std::vector<skyline::CompiledPreference::Term>& group :
+       calibration.groups) {
+    for (skyline::CompiledPreference::Term& term : group) {
+      const int column =
+          term.feature < extractor_.feature_count()
+              ? matrix.ColumnIndex(extractor_.feature_names()[term.feature])
+              : -1;
+      if (column < 0) {
+        throw std::invalid_argument(
+            "calibration matrix lacks feature " +
+            std::to_string(term.feature) + " of the model's preference");
+      }
+      term.feature = static_cast<uint32_t>(column);
+    }
+  }
   const size_t key_size = compiled_.KeySize();
   std::vector<std::vector<double>> per_group(key_size);
   std::vector<double> key(key_size);
   for (size_t r : accepted_rows) {
-    compiled_.Key(matrix.Row(r), key.data());
+    calibration.Key(matrix.Row(r), key.data());
     for (size_t g = 0; g < key_size; ++g) per_group[g].push_back(key[g]);
   }
   threshold_key_.resize(key_size);

@@ -22,16 +22,18 @@ namespace skyex::core {
 /// future work. Instead of re-running the whole pipeline when a record
 /// arrives, the linker keeps the dataset and a trained model, finds the
 /// new record's spatial candidates, scores them with LGM-X, and accepts
-/// the ones whose feature vectors clear the model's decision region
-/// (learned once from the training data as the minimal accepted
-/// group-sum key).
+/// the ones whose group-sum key clears a boundary calibrated once at
+/// construction: per priority group, the `calibration_percentile`
+/// quantile of the keys of the calibration pairs the model labels
+/// positive (the serving bootstrap labels the store's blocked pairs).
 struct IncrementalLinkerOptions {
   /// Candidate radius around the new record. It also sets the cell edge
   /// of the linker's candidate index (geo::RadiusGrid).
   double radius_m = 200.0;
-  /// Quantile of the accepted training pairs' group-sum keys used as the
-  /// acceptance boundary: 0.1 links generously (recall-leaning), 0.5
-  /// links conservatively (precision-leaning, for noisy feeds).
+  /// Quantile, per priority group, of the accepted calibration pairs'
+  /// group-sum keys used as the acceptance boundary: 0.1 links
+  /// generously (recall-leaning), 0.5 links conservatively
+  /// (precision-leaning, for noisy feeds).
   double calibration_percentile = 0.1;
   /// Without coordinates, compare against every record — refuse when
   /// the dataset exceeds this (0 = no limit).
@@ -72,8 +74,11 @@ class IncrementalLinker {
   using Options = IncrementalLinkerOptions;
 
   /// `model` must come from SkyExT::Train on features produced by an
-  /// extractor equivalent to `extractor`; `matrix`/`rows` are the
-  /// training features used to calibrate the decision region.
+  /// extractor equivalent to `extractor`. `accepted_rows` are the rows of
+  /// `matrix` the model labels positive; their group-sum keys calibrate
+  /// the acceptance boundary. `matrix` may hold every LGM-X column or
+  /// only those the preference reads: each preference term finds its
+  /// column by name (std::invalid_argument when one is missing).
   IncrementalLinker(data::Dataset dataset,
                     features::LgmXExtractor extractor, SkyExTModel model,
                     const ml::FeatureMatrix& matrix,
@@ -147,8 +152,9 @@ class IncrementalLinker {
   SkyExTModel model_;
   Options options_;
   skyline::CompiledPreference compiled_;
-  /// Minimal group-sum key over the accepted training rows: a new pair
-  /// is linked when its key is lexicographically ≥ this threshold.
+  /// Per priority group, the calibration_percentile quantile of the
+  /// accepted calibration rows' group-sum keys: a new pair is linked
+  /// when its key is lexicographically ≥ this threshold.
   std::vector<double> threshold_key_;
   bool calibrated_ = false;
 

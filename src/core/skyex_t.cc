@@ -65,6 +65,38 @@ std::string SkyExTModel::Describe(
   return out;
 }
 
+std::optional<ProjectedModel> ProjectModel(const SkyExTModel& model,
+                                           size_t schema_width,
+                                           std::string* error) {
+  if (model.preference == nullptr) {
+    if (error != nullptr) *error = "model has no preference";
+    return std::nullopt;
+  }
+  ProjectedModel out;
+  model.preference->CollectFeatures(&out.columns);
+  for (size_t feature : out.columns) {
+    if (feature >= schema_width) {
+      if (error != nullptr) {
+        *error = "model references feature index " + std::to_string(feature) +
+                 " but the LGM-X schema has " + std::to_string(schema_width) +
+                 " features";
+      }
+      return std::nullopt;
+    }
+  }
+  std::sort(out.columns.begin(), out.columns.end());
+  out.columns.erase(std::unique(out.columns.begin(), out.columns.end()),
+                    out.columns.end());
+  std::vector<size_t> position(schema_width, 0);
+  for (size_t k = 0; k < out.columns.size(); ++k) {
+    position[out.columns[k]] = k;
+  }
+  out.model.preference = model.preference->RemapFeatures(position);
+  out.model.cutoff_ratio = model.cutoff_ratio;
+  out.model.train_f1 = model.train_f1;
+  return out;
+}
+
 SkyExT::SkyExT(SkyExTOptions options) : options_(options) {}
 
 SkyExTModel SkyExT::Train(const ml::FeatureMatrix& matrix,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,28 @@ struct SkyExTModel {
   /// out-of-the-box explainability the paper emphasizes.
   std::string Describe(const std::vector<std::string>& feature_names) const;
 };
+
+/// A model applied to a matrix that holds only the LGM-X columns its
+/// preference reads, such as one features::LgmXExtractor::PlanColumns
+/// extracts from `columns`. Labelling that matrix with `model` gives the
+/// same labels as labelling the full matrix with the original model: the
+/// preference compares the same doubles in the same order.
+struct ProjectedModel {
+  std::vector<size_t> columns;  // schema columns read, ascending
+  /// The original with its preference reading position k for schema
+  /// column columns[k]. The explanatory groups stay empty.
+  SkyExTModel model;
+};
+
+/// Projects `model` onto the columns its preference reads. Works for any
+/// preference tree, compiled or not. nullopt + `error` when the model has
+/// no preference or reads a feature index at or past `schema_width` (the
+/// LGM-X schema's 88 columns, or the width of the rows at hand) — a
+/// corrupt or mismatched model file, which would otherwise read past the
+/// end of every feature row.
+std::optional<ProjectedModel> ProjectModel(const SkyExTModel& model,
+                                           size_t schema_width,
+                                           std::string* error);
 
 /// SkyEx-T (Skyline Explore - Trained), Section 4.3 of the paper.
 class SkyExT {

@@ -2,6 +2,8 @@
 #define SKYEX_FEATURES_LGM_X_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,35 @@ class LgmXExtractor {
     std::string addr_sorted;
   };
 
+  /// A set of LGM-X columns compiled into the work one row needs. A row
+  /// computed under a plan holds width() doubles: column k is schema
+  /// column columns[k]. Each textual attribute runs only the kernels its
+  /// requested columns read, directly or through a dependency: a group
+  /// (ii) or (iii) column of sortable measure s reads group (i)'s raw
+  /// score of that measure, groups (iii) and (iv) read the pair's LGM-Sim
+  /// split, and group (iv) reads the Damerau-Levenshtein raw score. The
+  /// full row is the plan of every column in schema order.
+  struct ColumnPlan {
+    static constexpr uint32_t kSkip = std::numeric_limits<uint32_t>::max();
+    /// What one textual attribute computes. Bit m of `raw` is group (i)'s
+    /// measure at registry position m (text::BasicSimilarities); bit s of
+    /// `sorted` and `lgm` is group (ii)'s and (iii)'s sortable measure s.
+    struct Text {
+      uint32_t raw = 0;
+      uint32_t sorted = 0;
+      uint32_t lgm = 0;
+      bool split = false;  // assign the LGM-Sim term split
+      bool lists = false;  // group (iv), the three list scores
+    };
+    std::vector<size_t> columns;  // requested schema columns, row order
+    std::vector<uint32_t> slot;   // per schema column: row position/kSkip
+    Text text[2];                 // name, address
+    bool number = false;          // address-number feature
+    bool geo = false;             // spatial feature
+
+    size_t width() const { return columns.size(); }
+  };
+
   /// `name_sim` / `addr_sim` carry the frequent-term dictionaries and
   /// LGM-Sim parameters for the two textual attributes.
   LgmXExtractor(lgm::LgmSim name_sim, lgm::LgmSim addr_sim,
@@ -57,6 +88,11 @@ class LgmXExtractor {
   const std::vector<std::string>& feature_names() const { return names_; }
   size_t feature_count() const { return names_.size(); }
 
+  /// Compiles `columns` (distinct schema indices, in the order the row
+  /// should hold them) into a plan. Throws std::out_of_range for an index
+  /// outside the schema and std::invalid_argument for a repeated one.
+  ColumnPlan PlanColumns(const std::vector<size_t>& columns) const;
+
   /// Normalizes one entity's textual attributes (name/address, plus their
   /// token-sorted forms).
   static EntityText ComputeEntityText(const data::SpatialEntity& e);
@@ -70,10 +106,22 @@ class LgmXExtractor {
                     const data::SpatialEntity& b, const EntityText& tb,
                     double* out) const;
 
+  /// The plan's columns of that row (out must hold plan.width() doubles);
+  /// each is bit-identical to the same column of the full row.
+  void RowFromCache(const data::SpatialEntity& a, const EntityText& ta,
+                    const data::SpatialEntity& b, const EntityText& tb,
+                    const ColumnPlan& plan, double* out) const;
+
   /// Bulk extraction over candidate pairs, fanned out on the shared
   /// par::ThreadPool. Normalized attribute strings are cached per entity.
   ml::FeatureMatrix Extract(const data::Dataset& dataset,
                             const std::vector<geo::CandidatePair>& pairs) const;
+
+  /// Same, computing only the plan's columns: the matrix has plan.width()
+  /// columns, named after the schema columns they hold.
+  ml::FeatureMatrix Extract(const data::Dataset& dataset,
+                            const std::vector<geo::CandidatePair>& pairs,
+                            const ColumnPlan& plan) const;
 
   /// Stage-1 sketch pre-filter for the batch path: returns the pairs whose
   /// sketch estimate (features::EstimatePair over per-entity bigram
@@ -87,8 +135,11 @@ class LgmXExtractor {
       size_t* dropped = nullptr) const;
 
  private:
-  // Computes the features of one textual attribute into out[0..42].
-  void TextFeatures(const lgm::LgmSim& sim, const std::string& a_norm,
+  // Computes the planned features of one textual attribute. `slot` holds
+  // the output positions of the attribute's 43 schema columns, in schema
+  // order, as positions into `out`.
+  void TextFeatures(const lgm::LgmSim& sim, const ColumnPlan::Text& plan,
+                    const uint32_t* slot, const std::string& a_norm,
                     const std::string& a_sorted, const std::string& b_norm,
                     const std::string& b_sorted, double* out) const;
 
@@ -105,6 +156,7 @@ class LgmXExtractor {
   size_t sorted_jw_basic_index_;
   size_t jw_basic_index_;
   size_t dl_basic_index_;
+  ColumnPlan full_plan_;
 };
 
 }  // namespace skyex::features

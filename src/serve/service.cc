@@ -357,10 +357,12 @@ size_t LinkService::record_count() const {
 namespace {
 
 /// Global calibration shared by both bootstrap paths: validated model,
-/// full-corpus extractor, feature matrix over the blocked pairs, and
-/// the accepted (positively labeled) rows the acceptance threshold is
+/// full-corpus extractor, the features of the blocked pairs, and the
+/// accepted (positively labeled) rows the acceptance threshold is
 /// calibrated from. Computed ONCE on the full dataset even when serving
-/// sharded, so every shard links with the same decision boundary.
+/// sharded, so every shard links with the same decision boundary. The
+/// matrix holds only the columns the model's preference reads; the
+/// linker finds them by name.
 struct Calibration {
   std::optional<features::LgmXExtractor> extractor;
   ml::FeatureMatrix features;
@@ -375,29 +377,19 @@ bool Calibrate(const data::Dataset& dataset, const core::SkyExTModel& model,
     return false;
   }
   // A corrupt or mismatched model may parse cleanly yet reference
-  // feature indices beyond the LGM-X schema; serving it would read out
-  // of bounds on every request. Reject it here, once.
-  std::vector<size_t> used_features;
-  model.preference->CollectFeatures(&used_features);
-  const size_t schema_width = features::LgmXFeatureCount();
-  for (size_t feature : used_features) {
-    if (feature >= schema_width) {
-      if (error != nullptr) {
-        *error = "model references feature index " +
-                 std::to_string(feature) + " but the LGM-X schema has " +
-                 std::to_string(schema_width) + " features";
-      }
-      return false;
-    }
-  }
+  // feature indices beyond the LGM-X schema; ProjectModel rejects it.
+  const std::optional<core::ProjectedModel> projected =
+      core::ProjectModel(model, features::LgmXFeatureCount(), error);
+  if (!projected.has_value()) return false;
   const char* blocker = nullptr;
   const std::vector<geo::CandidatePair> pairs =
       geo::BlockPoints(dataset.Points(), &blocker);
   out->extractor = features::LgmXExtractor::FromCorpus(dataset);
-  out->features = out->extractor->Extract(dataset, pairs);
+  out->features = out->extractor->Extract(
+      dataset, pairs, out->extractor->PlanColumns(projected->columns));
   const std::vector<size_t> all_rows = core::AllRows(pairs.size());
   const std::vector<uint8_t> predicted =
-      core::SkyExT::Label(out->features, all_rows, model);
+      core::SkyExT::Label(out->features, all_rows, projected->model);
   for (size_t r = 0; r < predicted.size(); ++r) {
     if (predicted[r]) out->accepted.push_back(r);
   }
@@ -409,6 +401,7 @@ bool Calibrate(const data::Dataset& dataset, const core::SkyExTModel& model,
   }
   SKYEX_LOG_INFO("serve/bootstrap", "calibrated incremental linker",
                  {"records", dataset.size()}, {"pairs", pairs.size()},
+                 {"columns", projected->columns.size()},
                  {"accepted_pairs", out->accepted.size()},
                  {"blocker", blocker});
   return true;

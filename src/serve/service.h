@@ -160,13 +160,13 @@ class LinkService {
 
 /// Builds a LinkService from a dataset and a trained model: blocks the
 /// dataset (geo::BlockPoints: QuadFlex when any record has coordinates,
-/// Cartesian otherwise), extracts
-/// LGM-X features, labels every pair with the model, and calibrates the
-/// incremental linker's acceptance threshold on the accepted pairs.
-/// Rejects models whose preference reads feature indices outside the
-/// LGM-X schema (a corrupt or mismatched model file would otherwise
-/// read out of bounds on every request). nullptr + `error` when the
-/// model is unusable or no pair is accepted.
+/// Cartesian otherwise), extracts the LGM-X columns the model's
+/// preference reads (core::ProjectModel), labels every pair with the
+/// model, and calibrates the incremental linker's acceptance threshold
+/// on the accepted pairs. Rejects models whose preference reads feature
+/// indices outside the LGM-X schema (a corrupt or mismatched model file
+/// would otherwise read out of bounds on every request). nullptr +
+/// `error` when the model is unusable or no pair is accepted.
 std::unique_ptr<LinkService> BootstrapLinkService(
     data::Dataset dataset, core::SkyExTModel model,
     const core::IncrementalLinkerOptions& options, std::string* error);

@@ -60,6 +60,12 @@ class FeatureDirectionNode final : public Preference {
     return std::make_unique<FeatureDirectionNode>(index_, direction_);
   }
 
+  std::unique_ptr<Preference> RemapFeatures(
+      const std::vector<size_t>& position) const override {
+    return std::make_unique<FeatureDirectionNode>(position[index_],
+                                                  direction_);
+  }
+
   size_t index() const { return index_; }
   Direction direction() const { return direction_; }
 
@@ -119,6 +125,16 @@ class ParetoNode final : public Preference {
     return std::make_unique<ParetoNode>(std::move(copies));
   }
 
+  std::unique_ptr<Preference> RemapFeatures(
+      const std::vector<size_t>& position) const override {
+    std::vector<std::unique_ptr<Preference>> copies;
+    copies.reserve(children_.size());
+    for (const auto& child : children_) {
+      copies.push_back(child->RemapFeatures(position));
+    }
+    return std::make_unique<ParetoNode>(std::move(copies));
+  }
+
   const std::vector<std::unique_ptr<Preference>>& children() const {
     return children_;
   }
@@ -157,6 +173,16 @@ class PriorityNode final : public Preference {
     std::vector<std::unique_ptr<Preference>> copies;
     copies.reserve(children_.size());
     for (const auto& child : children_) copies.push_back(child->Clone());
+    return std::make_unique<PriorityNode>(std::move(copies));
+  }
+
+  std::unique_ptr<Preference> RemapFeatures(
+      const std::vector<size_t>& position) const override {
+    std::vector<std::unique_ptr<Preference>> copies;
+    copies.reserve(children_.size());
+    for (const auto& child : children_) {
+      copies.push_back(child->RemapFeatures(position));
+    }
     return std::make_unique<PriorityNode>(std::move(copies));
   }
 

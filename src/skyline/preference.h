@@ -38,6 +38,13 @@ class Preference {
   virtual void CollectFeatures(std::vector<size_t>* out) const = 0;
 
   virtual std::unique_ptr<Preference> Clone() const = 0;
+
+  /// A copy that reads feature position[i] wherever this one reads
+  /// feature i: the same preference over a matrix that holds only some
+  /// columns. Every index this preference reads must be below
+  /// position.size() (core::ProjectModel checks it).
+  virtual std::unique_ptr<Preference> RemapFeatures(
+      const std::vector<size_t>& position) const = 0;
 };
 
 /// Leaf: a single preferred feature direction.

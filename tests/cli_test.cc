@@ -8,9 +8,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/linker.h"
+#include "core/model_io.h"
+#include "core/pipeline.h"
+#include "core/skyex_t.h"
 #include "data/csv.h"
+#include "features/lgm_x.h"
+#include "geo/quadflex.h"
 
 #ifndef SKYEX_CLI_PATH
 #define SKYEX_CLI_PATH "build/tools/skyex"
@@ -147,6 +155,85 @@ TEST_F(CliTest, LinkIsIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(linked[0] == linked[1]) << "linked.csv differs";
   EXPECT_TRUE(models[0] == models[1]) << "model differs";
   EXPECT_TRUE(profiles[0] == profiles[1]) << "profile differs";
+}
+
+// `apply` and `link --model` extract only the columns the model reads.
+// The reference is the full-matrix path they replaced: every LGM-X
+// column, then SkyExT::Label / core::LinkEntities with the saved model.
+TEST_F(CliTest, ModelCommandsWriteTheFullMatrixPathsBytes) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=2000 --seed=7 "
+                   "--out=" + entities_),
+            0);
+  ASSERT_EQ(RunCli("train --in=" + entities_ + " --no-profile --model-out=" +
+                   model_),
+            0);
+  ASSERT_EQ(RunCli("apply --in=" + entities_ + " --model=" + model_ +
+                   " --out=" + matches_),
+            0);
+  ASSERT_EQ(RunCli("link --in=" + entities_ + " --model=" + model_ +
+                   " --out=" + linked_),
+            0);
+
+  skyex::data::Dataset dataset;
+  ASSERT_TRUE(skyex::data::ReadDatasetCsv(entities_, &dataset));
+  const auto model = skyex::core::LoadModelFromFile(model_);
+  ASSERT_TRUE(model.has_value());
+  const std::vector<skyex::geo::CandidatePair> pairs =
+      skyex::geo::BlockPoints(dataset.Points());
+  const skyex::ml::FeatureMatrix full =
+      skyex::features::LgmXExtractor::FromCorpus(dataset).Extract(dataset,
+                                                                  pairs);
+  const std::vector<uint8_t> predicted = skyex::core::SkyExT::Label(
+      full, skyex::core::AllRows(pairs.size()), *model);
+  std::ostringstream matches;
+  matches << "id_a,name_a,id_b,name_b\n";
+  size_t matched = 0;
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    if (!predicted[k]) continue;
+    const auto& [i, j] = pairs[k];
+    matches << dataset[i].id << ','
+            << skyex::data::EscapeCsvField(dataset[i].name) << ','
+            << dataset[j].id << ','
+            << skyex::data::EscapeCsvField(dataset[j].name) << '\n';
+    ++matched;
+  }
+  EXPECT_GT(matched, 100u);
+  EXPECT_TRUE(ReadFile(matches_) == matches.str()) << "matches.csv differs";
+
+  skyex::data::Dataset merged;
+  for (const auto& entity :
+       skyex::core::LinkEntities(dataset, full, pairs, *model)) {
+    merged.entities.push_back(entity.merged);
+  }
+  const std::string reference = linked_ + ".full";
+  ASSERT_TRUE(skyex::data::WriteDatasetCsv(merged, reference));
+  const std::string want = ReadFile(reference);
+  std::remove(reference.c_str());
+  EXPECT_TRUE(ReadFile(linked_) == want) << "linked.csv differs";
+}
+
+// A model may parse yet read a feature index past the 88-column schema.
+// Every command that loads one refuses it before reading any row, with
+// the message skyex_serve gives.
+TEST_F(CliTest, ModelReadingOutsideTheSchemaIsRejected) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=300 --seed=3 "
+                   "--out=" + entities_),
+            0);
+  {
+    std::ofstream model(model_);
+    model << "preference: high(100) > high(3)\ncutoff_ratio: 0.05\n";
+  }
+  const std::string io = " --in=" + entities_ + " --model=" + model_;
+  for (const std::string& command :
+       {"apply" + io + " --out=" + matches_, "eval" + io,
+        "link" + io + " --out=" + linked_, "prefilter-eval" + io}) {
+    std::string log;
+    EXPECT_NE(RunCliLogging(command, &log), 0) << command;
+    EXPECT_NE(log.find("model references feature index 100 but the LGM-X "
+                       "schema has 88 features"),
+              std::string::npos)
+        << command << ": " << log;
+  }
 }
 
 TEST_F(CliTest, CoordinateLessFirstRowStillBlocksWithQuadFlex) {

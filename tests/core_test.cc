@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/feature_selection.h"
@@ -203,6 +206,62 @@ TEST(SkyExTTest, DegenerateTrainingSets) {
   const std::vector<uint8_t> predicted =
       SkyExT::Label(p.matrix, Iota(p.matrix.rows), model);
   EXPECT_EQ(predicted.size(), p.matrix.rows);
+}
+
+// A projected model labels the compact matrix as the original labels the
+// full one, both for a priority of Pareto groups (the presorted peel) and
+// for a nested tree that does not compile (the BNL fallback).
+TEST(ProjectedModelTest, CompactMatrixLabelsLikeTheFullOne) {
+  const Problem p = MakeProblem(400, 0.1, 23);
+  std::vector<std::unique_ptr<skyline::Preference>> trees;
+  {
+    std::vector<std::unique_ptr<skyline::Preference>> group;
+    group.push_back(skyline::High(4));
+    group.push_back(skyline::High(0));
+    std::vector<std::unique_ptr<skyline::Preference>> parts;
+    parts.push_back(skyline::ParetoOf(std::move(group)));
+    parts.push_back(skyline::High(2));
+    trees.push_back(skyline::PriorityOf(std::move(parts)));
+  }
+  {
+    std::vector<std::unique_ptr<skyline::Preference>> inner;
+    inner.push_back(skyline::High(2));
+    inner.push_back(skyline::Low(4));
+    std::vector<std::unique_ptr<skyline::Preference>> outer;
+    outer.push_back(skyline::PriorityOf(std::move(inner)));
+    outer.push_back(skyline::High(1));
+    trees.push_back(skyline::ParetoOf(std::move(outer)));
+  }
+  ASSERT_FALSE(skyline::Compile(*trees[1]).has_value());
+  for (std::unique_ptr<skyline::Preference>& tree : trees) {
+    SkyExTModel model;
+    model.preference = std::move(tree);
+    model.cutoff_ratio = 0.2;
+    std::string error;
+    const std::optional<ProjectedModel> projected =
+        ProjectModel(model, p.matrix.cols, &error);
+    ASSERT_TRUE(projected.has_value()) << error;
+    const ml::FeatureMatrix compact =
+        p.matrix.SelectColumns(projected->columns);
+    const std::vector<size_t> rows = Iota(p.matrix.rows);
+    EXPECT_EQ(SkyExT::Label(compact, rows, projected->model),
+              SkyExT::Label(p.matrix, rows, model));
+  }
+}
+
+TEST(ProjectedModelTest, RejectsIndicesOutsideTheSchema) {
+  SkyExTModel model;
+  model.preference = skyline::High(5);
+  std::string error;
+  EXPECT_FALSE(ProjectModel(model, 5, &error).has_value());
+  EXPECT_EQ(error,
+            "model references feature index 5 but the LGM-X schema has 5 "
+            "features");
+  const std::optional<ProjectedModel> projected =
+      ProjectModel(model, 6, &error);
+  ASSERT_TRUE(projected.has_value());
+  EXPECT_EQ(projected->columns, std::vector<size_t>{5});
+  EXPECT_FALSE(ProjectModel(SkyExTModel{}, 6, &error).has_value());
 }
 
 // ------------------------------------------------------------ SkyEx-F / -D

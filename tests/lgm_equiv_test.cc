@@ -6,11 +6,20 @@
 // patterns, checked for all 88 features of RowFromCache and of Extract,
 // under both kernel implementations; CI re-runs the suite under
 // ASan/UBSan at every SIMD dispatch level.
+//
+// ProjectedColumnsTest pins column-subset extraction (a ColumnPlan) to
+// the full row: every projected column equals the same column of the
+// full Extract byte for byte, for each column alone, the column sets of
+// real serving models and seeded random subsets in random order.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <numeric>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -516,6 +525,139 @@ TEST(LgmEquivTest, WrappersMatchTheReference) {
       }
     }
   });
+}
+
+// ------------------------------------------------ projected extraction
+
+// Each column alone, the columns two trained serving models read (the
+// stream-20k and recrawl-2k perfbench models, both with no group-(iii)
+// column), and seeded random subsets in random order.
+std::vector<std::vector<size_t>> ColumnSets(size_t width) {
+  std::vector<std::vector<size_t>> sets;
+  for (size_t c = 0; c < width; ++c) sets.push_back({c});
+  sets.push_back({1, 3, 5, 13, 20, 24, 25, 42, 63, 68});
+  sets.push_back({1, 3, 5, 20, 24, 25, 26, 42, 62, 68});
+  std::mt19937_64 rng(19);
+  for (int k = 0; k < 12; ++k) {
+    std::vector<size_t> columns(width);
+    std::iota(columns.begin(), columns.end(), 0);
+    std::shuffle(columns.begin(), columns.end(), rng);
+    columns.resize(2 + rng() % (width - 1));
+    sets.push_back(std::move(columns));
+  }
+  return sets;
+}
+
+bool SameDouble(const double& x, const double& y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// Extracts every column set of `pairs` and compares each projected cell
+// with the same column of the full Extract; returns the number of cells
+// that differ.
+size_t CountProjectionMismatches(const LgmXExtractor& extractor,
+                                 const data::Dataset& dataset,
+                                 const std::vector<geo::CandidatePair>& pairs) {
+  const ml::FeatureMatrix full = extractor.Extract(dataset, pairs);
+  size_t mismatches = 0;
+  for (const std::vector<size_t>& columns :
+       ColumnSets(extractor.feature_count())) {
+    const ml::FeatureMatrix projected =
+        extractor.Extract(dataset, pairs, extractor.PlanColumns(columns));
+    EXPECT_EQ(projected.rows, pairs.size());
+    EXPECT_EQ(projected.cols, columns.size());
+    for (size_t k = 0; k < columns.size() && k < projected.cols; ++k) {
+      EXPECT_EQ(projected.names[k], full.names[columns[k]]);
+      for (size_t r = 0; r < pairs.size(); ++r) {
+        if (SameDouble(projected.Row(r)[k], full.Row(r)[columns[k]])) {
+          continue;
+        }
+        if (++mismatches <= 10) {
+          ADD_FAILURE() << "pair (" << pairs[r].first << ", "
+                        << pairs[r].second << ") column "
+                        << full.names[columns[k]] << " of a "
+                        << columns.size() << "-column plan: full "
+                        << full.Row(r)[columns[k]] << ", projected "
+                        << projected.Row(r)[k];
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(ProjectedColumnsTest, QuadFlexPairsOfA2kWorldMatchTheFullRow) {
+  data::NorthDkOptions options;
+  options.num_entities = 2000;
+  const data::Dataset dataset = data::GenerateNorthDk(options);
+  const std::vector<geo::CandidatePair> pairs =
+      geo::QuadFlexBlock(dataset.Points());
+  ASSERT_GT(pairs.size(), 1000u);
+  const Linker linker = CorpusLinker(dataset);
+  // As in LgmEquivTest, the slow reference kernels check every 8th pair.
+  std::vector<geo::CandidatePair> strided;
+  for (size_t r = 0; r < pairs.size(); r += 8) strided.push_back(pairs[r]);
+  ForEachKernelImpl([&](text::KernelImpl impl) {
+    EXPECT_EQ(CountProjectionMismatches(
+                  linker.extractor, dataset,
+                  impl == text::KernelImpl::kReference ? strided : pairs),
+              0u);
+  });
+}
+
+TEST(ProjectedColumnsTest, AdversarialPairsMatchTheFullRow) {
+  const data::Dataset dataset = AdversarialDataset();
+  const std::vector<geo::CandidatePair> pairs = AllPairs(dataset.size());
+  for (const Linker& linker : {CorpusLinker(dataset), StopListLinker()}) {
+    ForEachKernelImpl([&](text::KernelImpl) {
+      EXPECT_EQ(CountProjectionMismatches(linker.extractor, dataset, pairs),
+                0u);
+    });
+  }
+}
+
+// RowFromCache under a plan, on text state that skips Normalize (invalid
+// UTF-8, tabs, repeated spaces reach the kernels and the split).
+TEST(ProjectedColumnsTest, UnnormalizedTextStateMatchesTheFullRow) {
+  const std::vector<LgmXExtractor::EntityText> texts = RawTexts();
+  data::Dataset dataset;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    dataset.entities.push_back(Entity(texts[i].name_norm, texts[i].addr_norm,
+                                      static_cast<int>(i), 57.0, 9.9));
+  }
+  const Linker linker = StopListLinker();
+  const LgmXExtractor& extractor = linker.extractor;
+  const size_t n = extractor.feature_count();
+  ForEachKernelImpl([&](text::KernelImpl) {
+    std::vector<double> full(n);
+    std::vector<double> projected(n);
+    for (const std::vector<size_t>& columns : ColumnSets(n)) {
+      const LgmXExtractor::ColumnPlan plan = extractor.PlanColumns(columns);
+      for (const auto& [i, j] : AllPairs(dataset.size())) {
+        extractor.RowFromCache(dataset[i], texts[i], dataset[j], texts[j],
+                               full.data());
+        extractor.RowFromCache(dataset[i], texts[i], dataset[j], texts[j],
+                               plan, projected.data());
+        for (size_t k = 0; k < columns.size(); ++k) {
+          EXPECT_TRUE(SameDouble(projected[k], full[columns[k]]))
+              << "pair (" << i << ", " << j << ") column "
+              << extractor.feature_names()[columns[k]];
+        }
+      }
+    }
+  });
+}
+
+TEST(ProjectedColumnsTest, PlanRejectsOutOfSchemaAndRepeatedColumns) {
+  const Linker linker = StopListLinker();
+  const LgmXExtractor& extractor = linker.extractor;
+  EXPECT_THROW(extractor.PlanColumns({3, 88}), std::out_of_range);
+  EXPECT_THROW(extractor.PlanColumns({5, 3, 5}), std::invalid_argument);
+  const LgmXExtractor::ColumnPlan plan = extractor.PlanColumns({87, 0});
+  EXPECT_EQ(plan.width(), 2u);
+  EXPECT_EQ(plan.slot[87], 0u);
+  EXPECT_EQ(plan.slot[0], 1u);
+  EXPECT_EQ(plan.slot[1], LgmXExtractor::ColumnPlan::kSkip);
 }
 
 }  // namespace

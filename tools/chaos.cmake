@@ -110,14 +110,22 @@ message(STATUS "chaos: server up on port ${port} (pid ${server_pid}), "
 # Kick off a mid-storm profiler scrape in the background: sleep past
 # the storm's ramp-up, then GET /debug/pprof/profile?seconds=2 over raw
 # /dev/tcp (HTTP/1.0 so the body ends at close). The fault schedule is
-# armed on this connection too, so retry up to three times.
+# armed on this connection too, so retry up to three times. Each attempt
+# is bounded by `timeout` and writes its own file, which is moved onto
+# profile.http only once it holds a status line: an attempt still in
+# flight never leaves a truncated response in place. The scrape stops at
+# the first 200 that carries a collapsed stack.
 set(scrape_pid_file "${WORK_DIR}/scrape.pid")
 set(scrape_http "${WORK_DIR}/profile.http")
+set(scrape_attempt_seconds 15)
 execute_process(
   COMMAND bash -c "( sleep 2; for i in 1 2 3; do \
-bash -c \"exec 3<>/dev/tcp/127.0.0.1/${port}; \
+timeout ${scrape_attempt_seconds} bash -c \"exec 3<>/dev/tcp/127.0.0.1/${port}; \
 printf 'GET /debug/pprof/profile?seconds=2 HTTP/1.0\\r\\n\\r\\n' >&3; \
-cat <&3\" > '${scrape_http}' 2>/dev/null; \
+cat <&3\" > '${scrape_http}.'$i 2>/dev/null; \
+grep -Eq '^HTTP/[0-9.]+ [0-9]+' '${scrape_http}.'$i && \
+mv '${scrape_http}.'$i '${scrape_http}'; \
+grep -Eq '^HTTP/[0-9.]+ 200' '${scrape_http}' && \
 grep -Eq '^[^ ]+ [0-9]+\\r?$' '${scrape_http}' && break; sleep 1; \
 done ) >/dev/null 2>&1 & echo $! > '${scrape_pid_file}'"
   RESULT_VARIABLE rc)
@@ -142,17 +150,28 @@ if(NOT rc EQUAL 0)
 endif()
 
 # The mid-storm scrape must have produced a valid non-empty
-# collapsed-stack profile while the server weathered the storm.
-foreach(attempt RANGE 75)
-  file(READ "${scrape_pid_file}" scrape_pid)
-  string(STRIP "${scrape_pid}" scrape_pid)
+# collapsed-stack profile while the server weathered the storm. Wait for
+# the scrape itself to end, for at most its own worst case (three
+# bounded attempts) plus a margin; one still running after that is a
+# failure of its own, not a missing response.
+file(READ "${scrape_pid_file}" scrape_pid)
+string(STRIP "${scrape_pid}" scrape_pid)
+math(EXPR scrape_polls "(3 * (${scrape_attempt_seconds} + 1) + 10) * 5")
+set(scrape_done FALSE)
+foreach(attempt RANGE ${scrape_polls})
   execute_process(COMMAND bash -c "kill -0 ${scrape_pid} 2>/dev/null"
                   RESULT_VARIABLE scraping)
   if(NOT scraping EQUAL 0)
+    set(scrape_done TRUE)
     break()
   endif()
   execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.2)
 endforeach()
+if(NOT scrape_done)
+  execute_process(COMMAND bash -c "kill ${scrape_pid} 2>/dev/null || true")
+  chaos_fail("mid-storm profile scrape still running after the storm; "
+             "see ${WORK_DIR}")
+endif()
 if(NOT EXISTS "${scrape_http}")
   chaos_fail("mid-storm profile scrape produced no response")
 endif()

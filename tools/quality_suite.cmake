@@ -244,6 +244,21 @@ if(NOT dump_out MATCHES "\"threshold_key\"")
   quality_fail("audit dump has no threshold_key: ${dump_out}")
 endif()
 
+# A model that parses but reads past the logged rows is refused, not
+# applied to them.
+set(wide_model "${WORK_DIR}/model_wide.txt")
+file(WRITE "${wide_model}" "preference: high(100) > high(3)\ncutoff_ratio: 0.05\n")
+foreach(command "replay;--model=${wide_model}"
+                "diff;--model-a=${model_txt};--model-b=${wide_model}")
+  execute_process(
+    COMMAND "${SKYEX_AUDIT}" ${command} --log=${audit_log}
+    RESULT_VARIABLE rc ERROR_VARIABLE refuse_err OUTPUT_QUIET)
+  if(rc EQUAL 0 OR NOT refuse_err MATCHES "feature index 100 ")
+    quality_fail("skyex_audit ${command} applied a model reading past "
+                 "the logged rows (${rc}): ${refuse_err}")
+  endif()
+endforeach()
+
 # --- run 2: name-drifted load must trip the detector -------------------
 boot_server("${audit_log2}" "${WORK_DIR}/serve_drift.log")
 message(STATUS "quality_suite: drift server on port ${port}")

@@ -297,6 +297,18 @@ void ReportAgainstLabels(
   std::printf("against labels: %s\n", cm.ToString().c_str());
 }
 
+/// A model may parse yet read a feature index past the logged rows:
+/// refuse it before labelling, with skyex_serve's message.
+bool ModelFitsRows(const skyex::core::SkyExTModel& model,
+                   const skyex::ml::FeatureMatrix& matrix) {
+  std::string error;
+  if (skyex::core::ProjectModel(model, matrix.cols, &error).has_value()) {
+    return true;
+  }
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  return false;
+}
+
 /// The serving-time accept rule (core/incremental.h): the prioritized
 /// first key group decides, later groups break ties, all-equal accepts.
 bool AcceptAgainstThreshold(const std::vector<double>& key,
@@ -328,6 +340,7 @@ int CmdReplay(const Flags& flags, const LoadedLog& log) {
   skyex::ml::FeatureMatrix matrix;
   std::vector<ScoredRef> refs;
   if (!GatherRows(log, &matrix, &refs)) return 1;
+  if (!ModelFitsRows(*model, matrix)) return 1;
 
   std::optional<std::set<std::pair<uint64_t, uint64_t>>> truth;
   const std::string labels_path = flags.Get("labels");
@@ -446,6 +459,9 @@ int CmdDiff(const Flags& flags, const LoadedLog& log) {
   skyex::ml::FeatureMatrix matrix;
   std::vector<ScoredRef> refs;
   if (!GatherRows(log, &matrix, &refs)) return 1;
+  if (!ModelFitsRows(*model_a, matrix) || !ModelFitsRows(*model_b, matrix)) {
+    return 1;
+  }
   std::vector<size_t> rows(matrix.rows);
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   const std::vector<uint8_t> labels_a =

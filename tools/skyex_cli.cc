@@ -34,6 +34,7 @@
 #include "data/restaurants_generator.h"
 #include "eval/metrics.h"
 #include "eval/sampling.h"
+#include "features/feature_schema.h"
 #include "features/lgm_x.h"
 #include "features/sketch.h"
 #include "geo/quadflex.h"
@@ -97,7 +98,8 @@ int Usage() {
 
 // Loads the dataset, blocks it (geo::BlockPoints: QuadFlex when any
 // record has coordinates, Cartesian otherwise), labels with the
-// ground-truth rule and extracts features.
+// ground-truth rule and extracts features: every LGM-X column, or only
+// `columns` (in that order) when given.
 struct LoadedPipeline {
   skyex::data::Dataset dataset;
   std::vector<skyex::geo::CandidatePair> pairs;
@@ -105,7 +107,8 @@ struct LoadedPipeline {
   skyex::ml::FeatureMatrix features;
 };
 
-std::optional<LoadedPipeline> LoadPipeline(const std::string& path) {
+std::optional<LoadedPipeline> LoadPipeline(
+    const std::string& path, const std::vector<size_t>* columns = nullptr) {
   SKYEX_SPAN("cli/load_pipeline");
   LoadedPipeline p;
   {
@@ -127,8 +130,30 @@ std::optional<LoadedPipeline> LoadPipeline(const std::string& path) {
                  {"blocker", blocker});
   const auto extractor =
       skyex::features::LgmXExtractor::FromCorpus(p.dataset);
-  p.features = extractor.Extract(p.dataset, p.pairs);
+  p.features = columns == nullptr
+                   ? extractor.Extract(p.dataset, p.pairs)
+                   : extractor.Extract(p.dataset, p.pairs,
+                                       extractor.PlanColumns(*columns));
   return p;
+}
+
+// Loads a saved model and projects it onto the columns its preference
+// reads, so the pipeline extracts only those. A model that reads outside
+// the LGM-X schema is refused here, with skyex_serve's message.
+std::optional<skyex::core::ProjectedModel> LoadProjectedModel(
+    const std::string& path) {
+  const auto model = skyex::core::LoadModelFromFile(path);
+  if (!model.has_value()) {
+    std::fprintf(stderr, "error: cannot load model\n");
+    return std::nullopt;
+  }
+  std::string error;
+  auto projected = skyex::core::ProjectModel(
+      *model, skyex::features::LgmXFeatureCount(), &error);
+  if (!projected.has_value()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+  }
+  return projected;
 }
 
 SkyExTModel TrainOnFraction(const LoadedPipeline& p, double fraction,
@@ -235,16 +260,12 @@ void ReportAgainstRule(const LoadedPipeline& p,
 }
 
 int CmdApply(const Flags& flags) {
-  const auto p = LoadPipeline(flags.Get("in", "entities.csv"));
+  const auto model = LoadProjectedModel(flags.Get("model", "model.txt"));
+  if (!model.has_value()) return 1;
+  const auto p = LoadPipeline(flags.Get("in", "entities.csv"), &model->columns);
   if (!p.has_value()) return 1;
-  const auto model =
-      skyex::core::LoadModelFromFile(flags.Get("model", "model.txt"));
-  if (!model.has_value()) {
-    std::fprintf(stderr, "error: cannot load model\n");
-    return 1;
-  }
   const auto predicted = SkyExT::Label(
-      p->features, skyex::core::AllRows(p->pairs.size()), *model);
+      p->features, skyex::core::AllRows(p->pairs.size()), model->model);
   const std::string out = flags.Get("out", "matches.csv");
   if (!WriteMatchesCsv(*p, predicted, out)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
@@ -257,24 +278,37 @@ int CmdApply(const Flags& flags) {
   return 0;
 }
 
-int CmdLink(const Flags& flags) {
-  const auto p = LoadPipeline(flags.Get("in", "entities.csv"));
-  if (!p.has_value()) return 1;
+// The pipeline and model of `link` and `prefilter-eval`: with --model,
+// the saved model projected onto its columns and a pipeline holding only
+// those; otherwise every column and a model trained on a fraction of it.
+struct ModelAndPipeline {
+  LoadedPipeline pipeline;
   SkyExTModel model;
+};
+
+std::optional<ModelAndPipeline> LoadOrTrain(const Flags& flags) {
+  const std::string in = flags.Get("in", "entities.csv");
   const std::string model_path = flags.Get("model");
-  if (!model_path.empty()) {
-    auto loaded = skyex::core::LoadModelFromFile(model_path);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "error: cannot load model\n");
-      return 1;
-    }
-    model = std::move(*loaded);
-  } else {
-    model = TrainOnFraction(*p, flags.GetDouble("train-fraction", 0.04),
-                            flags.GetSize("seed", 42));
+  if (model_path.empty()) {
+    auto p = LoadPipeline(in);
+    if (!p.has_value()) return std::nullopt;
+    SkyExTModel model = TrainOnFraction(
+        *p, flags.GetDouble("train-fraction", 0.04), flags.GetSize("seed", 42));
+    return ModelAndPipeline{std::move(*p), std::move(model)};
   }
-  const auto linked = skyex::core::LinkEntities(p->dataset, p->features,
-                                                p->pairs, model);
+  auto projected = LoadProjectedModel(model_path);
+  if (!projected.has_value()) return std::nullopt;
+  auto p = LoadPipeline(in, &projected->columns);
+  if (!p.has_value()) return std::nullopt;
+  return ModelAndPipeline{std::move(*p), std::move(projected->model)};
+}
+
+int CmdLink(const Flags& flags) {
+  const auto loaded = LoadOrTrain(flags);
+  if (!loaded.has_value()) return 1;
+  const LoadedPipeline& p = loaded->pipeline;
+  const auto linked = skyex::core::LinkEntities(p.dataset, p.features,
+                                                p.pairs, loaded->model);
   const std::string out = flags.Get("out", "linked.csv");
   skyex::data::Dataset merged;
   merged.entities.reserve(linked.size());
@@ -286,7 +320,7 @@ int CmdLink(const Flags& flags) {
     return 1;
   }
   std::printf("linked %zu records into %zu entities; merged view in %s\n",
-              p->dataset.size(), linked.size(), out.c_str());
+              p.dataset.size(), linked.size(), out.c_str());
   return 0;
 }
 
@@ -297,23 +331,11 @@ int CmdLink(const Flags& flags) {
 // EstimatePair calls LgmXExtractor::PrefilterPairs makes, so the curve
 // is exactly what --prefilter-threshold would do in production.
 int CmdPrefilterEval(const Flags& flags) {
-  const auto p = LoadPipeline(flags.Get("in", "entities.csv"));
-  if (!p.has_value()) return 1;
-  SkyExTModel model;
-  const std::string model_path = flags.Get("model");
-  if (!model_path.empty()) {
-    auto loaded = skyex::core::LoadModelFromFile(model_path);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "error: cannot load model\n");
-      return 1;
-    }
-    model = std::move(*loaded);
-  } else {
-    model = TrainOnFraction(*p, flags.GetDouble("train-fraction", 0.04),
-                            flags.GetSize("seed", 42));
-  }
+  const auto loaded = LoadOrTrain(flags);
+  if (!loaded.has_value()) return 1;
+  const LoadedPipeline& p = loaded->pipeline;
   const auto predicted = SkyExT::Label(
-      p->features, skyex::core::AllRows(p->pairs.size()), model);
+      p.features, skyex::core::AllRows(p.pairs.size()), loaded->model);
   size_t accepted = 0;
   for (uint8_t v : predicted) accepted += v;
 
@@ -336,20 +358,20 @@ int CmdPrefilterEval(const Flags& flags) {
   }
 
   // Per-pair overlap estimates, computed once: the sweep is then a scan.
-  std::vector<skyex::features::EntitySketch> sketches(p->dataset.size());
-  for (size_t i = 0; i < p->dataset.size(); ++i) {
+  std::vector<skyex::features::EntitySketch> sketches(p.dataset.size());
+  for (size_t i = 0; i < p.dataset.size(); ++i) {
     sketches[i].name = skyex::features::BuildTokenSketch(
-        skyex::text::Normalize(p->dataset[i].name));
+        skyex::text::Normalize(p.dataset[i].name));
     sketches[i].addr = skyex::features::BuildTokenSketch(
-        skyex::text::Normalize(p->dataset[i].address_name));
+        skyex::text::Normalize(p.dataset[i].address_name));
   }
-  std::vector<double> estimates(p->pairs.size());
-  for (size_t k = 0; k < p->pairs.size(); ++k) {
+  std::vector<double> estimates(p.pairs.size());
+  for (size_t k = 0; k < p.pairs.size(); ++k) {
     estimates[k] = skyex::features::EstimatePair(
-        sketches[p->pairs[k].first], sketches[p->pairs[k].second]);
+        sketches[p.pairs[k].first], sketches[p.pairs[k].second]);
   }
 
-  std::string json = "{\n  \"pairs\": " + std::to_string(p->pairs.size()) +
+  std::string json = "{\n  \"pairs\": " + std::to_string(p.pairs.size()) +
                      ",\n  \"accepted\": " + std::to_string(accepted) +
                      ",\n  \"thresholds\": [\n";
   char buf[256];
@@ -357,7 +379,7 @@ int CmdPrefilterEval(const Flags& flags) {
     size_t dropped = 0;
     size_t accepted_dropped = 0;
     if (thresholds[t] > 0.0) {
-      for (size_t k = 0; k < p->pairs.size(); ++k) {
+      for (size_t k = 0; k < p.pairs.size(); ++k) {
         if (estimates[k] < thresholds[t]) {
           ++dropped;
           accepted_dropped += predicted[k];
@@ -365,9 +387,9 @@ int CmdPrefilterEval(const Flags& flags) {
       }
     }
     const double drop_rate =
-        p->pairs.empty() ? 0.0
+        p.pairs.empty() ? 0.0
                          : static_cast<double>(dropped) /
-                               static_cast<double>(p->pairs.size());
+                               static_cast<double>(p.pairs.size());
     const double recall =
         accepted == 0 ? 1.0
                       : static_cast<double>(accepted - accepted_dropped) /
@@ -401,16 +423,12 @@ int CmdPrefilterEval(const Flags& flags) {
 }
 
 int CmdEval(const Flags& flags) {
-  const auto p = LoadPipeline(flags.Get("in", "entities.csv"));
+  const auto model = LoadProjectedModel(flags.Get("model", "model.txt"));
+  if (!model.has_value()) return 1;
+  const auto p = LoadPipeline(flags.Get("in", "entities.csv"), &model->columns);
   if (!p.has_value()) return 1;
-  const auto model =
-      skyex::core::LoadModelFromFile(flags.Get("model", "model.txt"));
-  if (!model.has_value()) {
-    std::fprintf(stderr, "error: cannot load model\n");
-    return 1;
-  }
   const auto predicted = SkyExT::Label(
-      p->features, skyex::core::AllRows(p->pairs.size()), *model);
+      p->features, skyex::core::AllRows(p->pairs.size()), model->model);
   ReportAgainstRule(*p, predicted);
   return 0;
 }
