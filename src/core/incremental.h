@@ -60,15 +60,14 @@ struct ScoredMatch {
   double score = 0.0;
 };
 
-/// Thread-safety contract: IncrementalLinker is NOT thread-safe.
-/// AddRecord mutates the dataset (it appends the new record), so
-/// concurrent callers must serialize every AddRecord call — and any
-/// dataset() read that can race with one — behind a single mutex or a
-/// single owning thread. The serving layer (serve::LinkService) funnels
-/// all access through one mutex and the server's single linker thread;
-/// tests/serve_test.cc asserts that concurrent batched access through
-/// the server stays consistent (no torn reads, record count equals the
-/// requests accepted).
+/// Thread-safety contract: IncrementalLinker is NOT thread-safe. Its
+/// calls must be serialized behind a single mutex or owning thread, with
+/// one exception: only Append (and AddRecord) writes what dataset() and
+/// grid() return, so a reader that excludes Append alone may read those
+/// concurrently with MatchRecord (serve::LinkService takes a records lock
+/// around Append). tests/serve_test.cc asserts that concurrent batched
+/// access through the server stays consistent (no torn reads, record
+/// count equals the requests accepted).
 class IncrementalLinker {
  public:
   using Options = IncrementalLinkerOptions;
@@ -120,6 +119,7 @@ class IncrementalLinker {
   void Append(const data::SpatialEntity& record);
 
   const data::Dataset& dataset() const { return dataset_; }
+  const geo::RadiusGrid& grid() const { return grid_; }
 
  private:
   /// One cached per-entity text state: the extractor's normalized

@@ -1,6 +1,8 @@
 #include "geo/radius_grid.h"
 
 #include <cmath>
+#include <numbers>
+#include <numeric>
 #include <stdexcept>
 
 namespace skyex::geo {
@@ -14,11 +16,17 @@ constexpr double kMinCellDeg = 1e-6;
 constexpr double kMaxCellDeg = 90.0;
 
 // Padding of a query's degree reach. It absorbs the floating-point
-// rounding of the degree conversions and of EquirectangularMeters itself
-// (a few ulps, relative), so that no point the distance test accepts can
-// lie outside the box.
+// rounding of the degree conversions and of the distance functions
+// themselves (a few ulps, relative), so that no point the distance test
+// accepts can lie outside the box.
 constexpr double kSlackRel = 1e-9;
 constexpr double kSlackDeg = 1e-9;
+
+constexpr double kDegToRad = std::numbers::pi / 180.0;
+
+double Padded(double reach_deg) {
+  return reach_deg * (1.0 + kSlackRel) + kSlackDeg;
+}
 
 bool InGridRange(const GeoPoint& p) {
   // NaN fails both comparisons and ±inf the bound, so this also rejects
@@ -52,23 +60,57 @@ void RadiusGrid::Insert(const GeoPoint& p) {
     }
   } else if (p.valid) {
     unplaced_.push_back(id);
+  } else {
+    unlocated_.push_back(id);
   }
 }
 
-bool RadiusGrid::CellsToVisit(const GeoPoint& center,
-                              CellRange* range) const {
+std::vector<size_t> RadiusGrid::HaversineCandidates(const GeoPoint& center,
+                                                    double radius_m) const {
+  std::vector<size_t> out;
+  CellRange range;
+  if (radius_m >= 0.0 &&
+      CellsToVisit(center, radius_m, /*great_circle=*/true, &range)) {
+    VisitCells(range, [&out](uint32_t id) { out.push_back(id); });
+    out.insert(out.end(), unplaced_.begin(), unplaced_.end());
+    out.insert(out.end(), unlocated_.begin(), unlocated_.end());
+    std::sort(out.begin(), out.end());
+  } else {
+    out.resize(next_.size());
+    std::iota(out.begin(), out.end(), size_t{0});
+  }
+  return out;
+}
+
+bool RadiusGrid::CellsToVisit(const GeoPoint& center, double radius_m,
+                              bool great_circle, CellRange* range) const {
   if (!InGridRange(center)) return false;
-  // EquirectangularMeters is at least R·|dlat| in radians, so an accepted
-  // point lies within lat_reach degrees of the centre's latitude. It
-  // scales dlon by cos(mean latitude), and |mean| <= |center.lat| +
-  // lat_reach for such a point, so the longitude reach at that latitude
-  // bounds dlon. MetersToLonDegrees returns 360° once the cosine
-  // vanishes, which makes the box span every longitude near a pole.
-  const double lat_reach =
-      MetersToLatDegrees(radius_m_) * (1.0 + kSlackRel) + kSlackDeg;
-  const double at = std::min(90.0, std::fabs(center.lat) + lat_reach);
-  const double lon_reach =
-      MetersToLonDegrees(radius_m_, at) * (1.0 + kSlackRel) + kSlackDeg;
+  // Both metrics are at least R·|dlat| in radians, so an accepted point
+  // lies within lat_reach degrees of the centre's latitude, and both
+  // points within `at` degrees of the equator.
+  const double lat_reach = Padded(MetersToLatDegrees(radius_m));
+  const double at = std::fabs(center.lat) + lat_reach;
+  double lon_reach = 360.0;
+  if (!great_circle) {
+    // EquirectangularMeters scales dlon by cos(mean latitude), so the
+    // longitude reach at `at` bounds dlon. MetersToLonDegrees returns
+    // 360° once the cosine vanishes, which makes the box span every
+    // longitude near a pole.
+    lon_reach = Padded(MetersToLonDegrees(radius_m, std::min(90.0, at)));
+  } else {
+    // HaversineMeters crosses the poles and wraps at ±180°, which no cell
+    // does: such a query tests every id. Within the radius h = sin²(dlat/2)
+    // + cos·cos·sin²(dlon/2) <= sin²(r / 2R), and both cosines are >=
+    // cos(at), so |sin(dlon/2)| <= sin(r / 2R) / cos(at) (r / 2R < 45°).
+    if (!(at < 90.0)) return false;
+    const double bound = std::sin(radius_m / (2.0 * kEarthRadiusMeters)) /
+                         std::cos(at * kDegToRad);
+    if (!(bound < 1.0)) return false;
+    lon_reach = Padded(2.0 * std::asin(bound) / kDegToRad);
+    if (center.lon - lon_reach < -180.0 || center.lon + lon_reach > 180.0) {
+      return false;
+    }
+  }
   // Stored cells lie inside [-90, 90] x [-180, 180], so clamping the box
   // to it loses none and bounds every cell index before the casts.
   const double lat_lo =

@@ -37,7 +37,7 @@ namespace skyex::geo {
 /// Points marked invalid match nothing (EquirectangularMeters returns -1
 /// for them): they take an id but no cell, so the cell walk skips them.
 ///
-/// Not thread-safe for Insert; concurrent Query calls are safe.
+/// Not thread-safe for Insert; concurrent queries are safe.
 class RadiusGrid {
  public:
   explicit RadiusGrid(double radius_m);
@@ -52,6 +52,14 @@ class RadiusGrid {
   template <typename PointAt>
   std::vector<size_t> Query(const GeoPoint& center, const PointAt& point_at,
                             size_t* tested = nullptr) const;
+
+  /// Ids (ascending) a great-circle query of any `radius_m` must test: a
+  /// superset of those HaversineMeters puts within it, holding every id
+  /// without a cell. A reach that wraps at ±180° or touches a pole, an
+  /// invalid or out-of-range centre and a negative or NaN radius get
+  /// every id. The caller runs the exact test.
+  std::vector<size_t> HaversineCandidates(const GeoPoint& center,
+                                          double radius_m) const;
 
   size_t size() const { return next_.size(); }
   /// Cell edge in degrees of latitude and of longitude.
@@ -69,8 +77,14 @@ class RadiusGrid {
     int64_t lon_hi = -1;
   };
 
-  /// False when the query must test every stored id instead.
-  bool CellsToVisit(const GeoPoint& center, CellRange* range) const;
+  /// Cells a query of `radius_m` by EquirectangularMeters, or by
+  /// HaversineMeters when `great_circle`, walks. False when the query
+  /// must test every stored id instead.
+  bool CellsToVisit(const GeoPoint& center, double radius_m,
+                    bool great_circle, CellRange* range) const;
+  /// Calls `visit(id)` for every id stored in a cell of `range`.
+  template <typename Visit>
+  void VisitCells(const CellRange& range, const Visit& visit) const;
 
   /// Both indices fit int32 (the .cc bounds them), so the packing is
   /// unique.
@@ -88,7 +102,19 @@ class RadiusGrid {
   std::vector<uint32_t> next_;
   /// Valid ids whose point lies outside the grid's coordinate range.
   std::vector<uint32_t> unplaced_;
+  std::vector<uint32_t> unlocated_;  // ids without a valid point
 };
+
+template <typename Visit>
+void RadiusGrid::VisitCells(const CellRange& range, const Visit& visit) const {
+  for (int64_t lat = range.lat_lo; lat <= range.lat_hi; ++lat) {
+    for (int64_t lon = range.lon_lo; lon <= range.lon_hi; ++lon) {
+      const auto it = heads_.find(CellKey(lat, lon));
+      if (it == heads_.end()) continue;
+      for (uint32_t id = it->second; id != kNoId; id = next_[id]) visit(id);
+    }
+  }
+}
 
 template <typename PointAt>
 std::vector<size_t> RadiusGrid::Query(const GeoPoint& center,
@@ -105,16 +131,8 @@ std::vector<size_t> RadiusGrid::Query(const GeoPoint& center,
       if (d >= 0.0 && d <= radius_m_) out.push_back(id);
     };
     CellRange range;
-    if (CellsToVisit(center, &range)) {
-      for (int64_t lat = range.lat_lo; lat <= range.lat_hi; ++lat) {
-        for (int64_t lon = range.lon_lo; lon <= range.lon_hi; ++lon) {
-          const auto it = heads_.find(CellKey(lat, lon));
-          if (it == heads_.end()) continue;
-          for (uint32_t id = it->second; id != kNoId; id = next_[id]) {
-            test(id);
-          }
-        }
-      }
+    if (CellsToVisit(center, radius_m_, /*great_circle=*/false, &range)) {
+      VisitCells(range, test);
       for (uint32_t id : unplaced_) test(id);
       std::sort(out.begin(), out.end());
     } else {

@@ -77,9 +77,6 @@ bool Server::Start(std::string* error) {
   listen_fd_ = ListenTcp(options_.port, options_.listen_backlog, error);
   if (!listen_fd_.valid()) return false;
   port_ = LocalPort(listen_fd_.get());
-  last_record_count_.store(backend_ != nullptr ? backend_->record_count()
-                                               : service_->record_count(),
-                           std::memory_order_relaxed);
   linker_heartbeat_ms_.store(NowMs(), std::memory_order_relaxed);
   started_.store(true);
   listener_ = std::thread(&Server::ListenerLoop, this);
@@ -287,10 +284,9 @@ HttpResponse Server::Dispatch(const HttpRequest& request,
   }
   if (request.path == "/healthz") {
     if (request.method != "GET") return ErrorResponse(405, "use GET");
-    // A wedged linker likely holds the service mutex, so /healthz must
-    // not call record_count() then — it reports the cached count.
-    // Router mode counts records from per-shard atomics (mutex-free)
-    // and is wedged only when EVERY shard is.
+    // record_count() reads under the records lock, not the linker
+    // mutex, so it stays live while wedged. Router mode is wedged only
+    // when EVERY shard is.
     const bool wedged = this->wedged();
     json::Writer writer;
     writer.BeginObject();
@@ -300,13 +296,11 @@ HttpResponse Server::Dispatch(const HttpRequest& request,
                                                            : "ok");
     if (backend_ != nullptr) {
       writer.Key("records").Uint(backend_->record_count());
-      writer.Key("queue_depth").Uint(link_queue_.size());
+      writer.Key("queue_depth").Uint(backend_->queue_depth());
       writer.Key("breaker").String("sharded");
       writer.Key("shards").Uint(backend_->num_shards());
     } else {
-      writer.Key("records").Uint(
-          wedged ? last_record_count_.load(std::memory_order_relaxed)
-                 : service_->record_count());
+      writer.Key("records").Uint(service_->record_count());
       writer.Key("queue_depth").Uint(link_queue_.size());
       writer.Key("breaker").String(breaker_.StateName(NowMs()));
     }
@@ -763,10 +757,6 @@ void Server::LinkerLoop() {
       // re-tag themselves inside (core/incremental.cc).
       SKYEX_PROF_PHASE(::skyex::prof::Phase::kRanking);
       results = service_->LinkMany(entities, &batch_stats);
-      if (!results.empty()) {
-        last_record_count_.store(results.back().record_index + 1,
-                                 std::memory_order_relaxed);
-      }
     }
 
     for (size_t j = 0; j < jobs.size(); ++j) {

@@ -25,11 +25,13 @@
 //     half-open probe succeeds;
 //   - watchdog (`watchdog_ms`): a linker thread that stops heartbeating
 //     while work is pending marks the server wedged — /healthz turns
-//     503, the breaker is forced open, and link requests are answered
-//     degraded until the heartbeat resumes;
+//     503 (still with the live record count), the breaker is forced
+//     open, and link requests are answered degraded until the heartbeat
+//     resumes;
 //   - degraded fallback (`degraded_fallback`): answers from
-//     LinkService::LinkDegraded, marked "degraded":true, never
-//     persisted.
+//     LinkService::LinkDegraded — name Jaro-Winkler >= 0.9 within 500 m
+//     over the linker's own records, read under the records lock rather
+//     than the linker mutex — marked "degraded":true, never persisted.
 //
 // Endpoints:
 //   POST /v1/link        {"entity": {...}}    -> links + golden record
@@ -247,9 +249,6 @@ class Server {
   std::atomic<int64_t> linker_heartbeat_ms_{0};
   std::atomic<bool> linker_busy_{false};
   std::atomic<bool> wedged_{false};
-  // Record count as of the last completed batch — lets /healthz answer
-  // without touching the (possibly wedged) linker mutex.
-  std::atomic<uint64_t> last_record_count_{0};
 
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> requests_{0};

@@ -193,29 +193,35 @@ void WriteLinkResultJson(json::Writer* writer, const LinkResult& result,
   writer->EndObject();
 }
 
-LinkService::DegradedEntry LinkService::MakeDegradedEntry(
-    const data::SpatialEntity& e) {
-  DegradedEntry entry;
-  entry.id = e.id;
-  entry.source = std::string(data::SourceName(e.source));
-  entry.name = e.name;
-  entry.normalized_name = text::Normalize(e.name);
-  entry.location = e.location;
-  return entry;
+LinkResult RankAndMerge(const data::SpatialEntity& entity,
+                        size_t record_index, std::vector<ScoredLink> links) {
+  std::sort(links.begin(), links.end(),
+            [](const ScoredLink& a, const ScoredLink& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.snapshot.id != b.snapshot.id) {
+                return a.snapshot.id < b.snapshot.id;
+              }
+              return a.record < b.record;
+            });
+  LinkResult result;
+  result.record_index = record_index;
+  result.links.reserve(links.size());
+  std::vector<const data::SpatialEntity*> cluster;
+  cluster.reserve(links.size() + 1);
+  for (const ScoredLink& link : links) {
+    result.links.push_back(LinkedRecord{
+        link.record, link.snapshot.id, link.snapshot.name,
+        std::string(data::SourceName(link.snapshot.source))});
+    cluster.push_back(&link.snapshot);
+  }
+  cluster.push_back(&entity);
+  result.merged = core::MergeRecords(cluster);
+  return result;
 }
 
 LinkService::LinkService(core::IncrementalLinker linker,
-                         std::string model_text,
-                         DegradedOptions degraded_options)
-    : linker_(std::move(linker)),
-      model_text_(std::move(model_text)),
-      degraded_options_(degraded_options) {
-  const data::Dataset& dataset = linker_.dataset();
-  degraded_index_.reserve(dataset.size());
-  for (const data::SpatialEntity& e : dataset.entities) {
-    degraded_index_.push_back(MakeDegradedEntry(e));
-  }
-}
+                         std::string model_text)
+    : linker_(std::move(linker)), model_text_(std::move(model_text)) {}
 
 std::vector<LinkResult> LinkService::LinkMany(
     const std::vector<data::SpatialEntity>& entities,
@@ -223,88 +229,45 @@ std::vector<LinkResult> LinkService::LinkMany(
   SKYEX_SPAN("serve/link_batch");
   std::vector<LinkResult> results;
   results.reserve(entities.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const data::SpatialEntity& entity : entities) {
-      LinkResult result;
-      // Linkage-quality hooks (no-ops until skyex_serve enables the
-      // quality runtime): entity-level drift observation for every
-      // request, full decision capture for sampled ones.
-      quality::Runtime& quality_runtime = quality::Runtime::Global();
-      quality_runtime.ObserveEntity(entity);
-      quality::MatchCapture capture;
-      const bool capturing = quality_runtime.ShouldCapture();
-      std::vector<core::ScoredMatch> matches = linker_.MatchRecord(
-          entity, stats, capturing ? &capture : nullptr);
-      if (capturing) {
-        quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
-      }
-      linker_.Append(entity);
-      const data::Dataset& dataset = linker_.dataset();
-      result.record_index = dataset.size() - 1;
-      // Rank exactly like the shard router's gather, so `--shards=1`
-      // serializes the same bytes as this path.
-      std::sort(matches.begin(), matches.end(),
-                [&dataset](const core::ScoredMatch& a,
-                           const core::ScoredMatch& b) {
-                  return LinkRankBefore(a.score, dataset[a.index].id, a.index,
-                                        b.score, dataset[b.index].id, b.index);
-                });
-      result.links.reserve(matches.size());
-      std::vector<const data::SpatialEntity*> cluster;
-      cluster.reserve(matches.size() + 1);
-      for (const core::ScoredMatch& m : matches) {
-        result.links.push_back(LinkedRecord{
-            m.index, dataset[m.index].id, dataset[m.index].name,
-            std::string(data::SourceName(dataset[m.index].source))});
-        cluster.push_back(&dataset[m.index]);
-      }
-      cluster.push_back(&dataset[result.record_index]);
-      result.merged = core::MergeRecords(cluster);
-      SKYEX_COUNTER_INC("serve/link_requests");
-      SKYEX_COUNTER_ADD("serve/linked_records", matches.size());
-      results.push_back(std::move(result));
-    }
-  }
-  // Mirror the new records into the degraded index outside the linker
-  // lock, so degraded readers only ever contend on this short append.
-  {
-    std::lock_guard<std::mutex> lock(degraded_mutex_);
-    for (const data::SpatialEntity& entity : entities) {
-      degraded_index_.push_back(MakeDegradedEntry(entity));
-    }
+  for (const data::SpatialEntity& entity : entities) {
+    size_t record_index = 0;
+    std::vector<ScoredLink> links =
+        MatchScored(entity, /*persist=*/true, stats, &record_index);
+    results.push_back(RankAndMerge(entity, record_index, std::move(links)));
+    SKYEX_COUNTER_INC("serve/link_requests");
+    SKYEX_COUNTER_ADD("serve/linked_records", results.back().links.size());
   }
   return results;
 }
 
 std::vector<ScoredLink> LinkService::MatchScored(
-    const data::SpatialEntity& entity, bool persist,
-    obs::LinkStats* stats) {
+    const data::SpatialEntity& entity, bool persist, obs::LinkStats* stats,
+    size_t* record_index) {
   SKYEX_SPAN("serve/match_scored");
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Linkage-quality hooks (no-ops until skyex_serve enables the quality
+  // runtime): entity-level drift observation, full decision capture for
+  // sampled attempts. Entity drift is observed where the entity is
+  // persisted only, so a scatter to k shards counts once.
+  quality::Runtime& quality_runtime = quality::Runtime::Global();
+  if (persist) quality_runtime.ObserveEntity(entity);
+  quality::MatchCapture capture;
+  const bool capturing = quality_runtime.ShouldCapture();
+  const std::vector<core::ScoredMatch> matches =
+      linker_.MatchRecord(entity, stats, capturing ? &capture : nullptr);
+  if (capturing) {
+    quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
+  }
+  const data::Dataset& dataset = linker_.dataset();
   std::vector<ScoredLink> links;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Shard-path quality hooks. Entity drift is observed on the owner
-    // only (persist == true) so a scatter to k shards counts once.
-    quality::Runtime& quality_runtime = quality::Runtime::Global();
-    if (persist) quality_runtime.ObserveEntity(entity);
-    quality::MatchCapture capture;
-    const bool capturing = quality_runtime.ShouldCapture();
-    const std::vector<core::ScoredMatch> matches =
-        linker_.MatchRecord(entity, stats, capturing ? &capture : nullptr);
-    if (capturing) {
-      quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
-    }
-    const data::Dataset& dataset = linker_.dataset();
-    links.reserve(matches.size());
-    for (const core::ScoredMatch& m : matches) {
-      links.push_back(ScoredLink{m.index, m.score, dataset[m.index]});
-    }
-    if (persist) linker_.Append(entity);
+  links.reserve(matches.size());
+  for (const core::ScoredMatch& m : matches) {
+    links.push_back(ScoredLink{m.index, m.score, dataset[m.index]});
   }
   if (persist) {
-    std::lock_guard<std::mutex> lock(degraded_mutex_);
-    degraded_index_.push_back(MakeDegradedEntry(entity));
+    std::unique_lock<std::shared_mutex> records_lock(records_mutex_);
+    linker_.Append(entity);
+    if (record_index != nullptr) *record_index = dataset.size() - 1;
   }
   return links;
 }
@@ -314,7 +277,6 @@ std::vector<LinkResult> LinkService::LinkDegraded(
   SKYEX_SPAN("serve/link_degraded");
   std::vector<LinkResult> results;
   results.reserve(entities.size());
-  std::lock_guard<std::mutex> lock(degraded_mutex_);
   for (const data::SpatialEntity& entity : entities) {
     // Degraded answers audit as decision-less records: the entity was
     // served but the model never scored it.
@@ -325,21 +287,32 @@ std::vector<LinkResult> LinkService::LinkDegraded(
     }
     LinkResult result;
     result.degraded = true;
-    // Where the record *would* land; nothing is actually appended.
-    result.record_index = degraded_index_.size();
-    const std::string normalized = text::Normalize(entity.name);
-    for (size_t i = 0; i < degraded_index_.size(); ++i) {
-      const DegradedEntry& entry = degraded_index_[i];
-      if (entity.location.valid && entry.location.valid &&
-          geo::HaversineMeters(entity.location, entry.location) >
-              degraded_options_.radius_m) {
-        continue;
+    // Candidates are copied out under the records lock and their names
+    // scored after it is released, so an append never waits on scoring.
+    std::vector<LinkedRecord> candidates;
+    {
+      std::shared_lock<std::shared_mutex> lock(records_mutex_);
+      const data::Dataset& records = linker_.dataset();
+      result.record_index = records.size();  // where it *would* land
+      for (size_t i : linker_.grid().HaversineCandidates(entity.location,
+                                                         kDegradedRadiusM)) {
+        const data::SpatialEntity& record = records[i];
+        // -1 when either side lacks coordinates: the name decides alone.
+        if (geo::HaversineMeters(entity.location, record.location) >
+            kDegradedRadiusM) {
+          continue;
+        }
+        candidates.push_back(
+            LinkedRecord{i, record.id, record.name,
+                         std::string(data::SourceName(record.source))});
       }
-      const double f_sim =
-          text::JaroWinklerSimilarity(normalized, entry.normalized_name);
-      if (f_sim >= degraded_options_.f_sim_threshold) {
-        result.links.push_back(
-            LinkedRecord{i, entry.id, entry.name, entry.source});
+    }
+    const std::string normalized = text::Normalize(entity.name);
+    for (LinkedRecord& candidate : candidates) {
+      if (text::JaroWinklerSimilarity(normalized,
+                                      text::Normalize(candidate.name)) >=
+          kDegradedNameSimilarity) {
+        result.links.push_back(std::move(candidate));
       }
     }
     result.merged = entity;
@@ -350,7 +323,7 @@ std::vector<LinkResult> LinkService::LinkDegraded(
 }
 
 size_t LinkService::record_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock<std::shared_mutex> lock(records_mutex_);
   return linker_.dataset().size();
 }
 

@@ -7,18 +7,20 @@
 // be serialized — see core/incremental.h), and the bootstrap that
 // turns a dataset + saved model into a calibrated linker.
 //
-// Besides the full linker path, the service maintains a *degraded
-// index*: immutable snapshots (id, source, normalized name, location)
-// of every linked record, guarded by its own mutex. When the full path
-// is unavailable — deadline expired, linker wedged, breaker open — the
-// server can still answer from this index with a cheap
-// threshold-on-f_sim match (Jaro-Winkler on normalized names, gated by
-// a Haversine radius). Degraded answers are read-only (nothing is
-// persisted) and marked "degraded":true in the response.
+// Every link runs through MatchScored under the linker mutex, and
+// LinkMany answers through RankAndMerge, as the shard router's gather
+// does. When the full path is unavailable — deadline expired, linker
+// wedged — the server answers from LinkDegraded: Jaro-Winkler on
+// normalised names over the linker's own records, located pairs gated
+// by a Haversine radius, candidates from the linker's grid. It reads
+// under a records lock that only an append takes exclusively, so a
+// wedged MatchRecord cannot hold it up. Degraded answers are read-only
+// (nothing is persisted) and marked "degraded":true in the response.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -46,33 +48,28 @@ struct LinkResult {
   bool degraded = false;       // answered by the fallback path
 };
 
-/// One scored candidate link as a shard reports it to the router: the
-/// record's position in the *local* shard dataset, the match score
-/// (prioritized group sum — see core::ScoredMatch), and a snapshot copy
-/// of the record so the router can merge without reaching back into the
-/// shard's dataset.
+/// One scored candidate link as MatchScored reports it: the record's
+/// position in the service's dataset (a shard's *local* index), the
+/// match score (prioritized group sum — see core::ScoredMatch), and a
+/// snapshot copy of the record so RankAndMerge never reaches back into
+/// the dataset.
 struct ScoredLink {
   size_t record = 0;
   double score = 0.0;
   data::SpatialEntity snapshot;
 };
 
-/// Deterministic link ranking shared by the unsharded path and the
-/// shard router's gather: strongest score first, ties broken by entity
-/// id, then by (global) record index. Keeping one comparator is what
-/// makes `--shards=1` responses byte-identical to the unsharded server.
-inline bool LinkRankBefore(double score_a, uint64_t id_a, size_t record_a,
-                           double score_b, uint64_t id_b, size_t record_b) {
-  if (score_a != score_b) return score_a > score_b;
-  if (id_a != id_b) return id_a < id_b;
-  return record_a < record_b;
-}
+/// Ranks `links` (strongest score first, then entity id, then record
+/// index) and merges the golden record of them and `entity`, stored at
+/// `record_index`. LinkMany and the shard router's gather both answer
+/// through it, so `--shards=1` is byte-identical to the unsharded server.
+LinkResult RankAndMerge(const data::SpatialEntity& entity,
+                        size_t record_index, std::vector<ScoredLink> links);
 
-/// Knobs of the degraded fallback matcher.
-struct DegradedOptions {
-  double f_sim_threshold = 0.9;  // Jaro-Winkler on normalized names
-  double radius_m = 500.0;       // Haversine gate when both have coords
-};
+/// Degraded matching: normalised-name Jaro-Winkler at least this and,
+/// when both records have coordinates, HaversineMeters at most this.
+inline constexpr double kDegradedNameSimilarity = 0.9;
+inline constexpr double kDegradedRadiusM = 500.0;
 
 /// Parses {"entity": {...}} / an entity object into `out`. `name` is
 /// required; everything else optional ("source" accepts the names from
@@ -95,37 +92,39 @@ void WriteLinkResultJson(json::Writer* writer, const LinkResult& result,
 using LinkBatchStats = obs::LinkStats;
 
 /// Serializes IncrementalLinker access behind one mutex — the write
-/// contract of core/incremental.h. All linkage performed by the server
-/// funnels through LinkMany (one lock acquisition per micro-batch).
+/// contract of core/incremental.h. Every link the service makes runs
+/// through MatchScored, one lock acquisition per entity.
 class LinkService {
  public:
-  LinkService(core::IncrementalLinker linker, std::string model_text,
-              DegradedOptions degraded_options = {});
+  LinkService(core::IncrementalLinker linker, std::string model_text);
 
-  /// Links each entity in order against the (growing) dataset. One
-  /// batch = one lock hold = one linker pass. `stats` (optional) is
-  /// added to by every record's MatchRecord.
+  /// Links each entity in order against the (growing) dataset: each goes
+  /// through MatchScored(entity, /*persist=*/true) and RankAndMerge.
+  /// `stats` (optional) is added to by every record's MatchRecord.
   std::vector<LinkResult> LinkMany(
       const std::vector<data::SpatialEntity>& entities,
       LinkBatchStats* stats = nullptr);
 
-  /// Shard-side half of a scatter-gather link: scores `entity` against
-  /// this service's dataset and returns the accepted links (ascending
-  /// local index order, unranked — the router ranks after gathering).
-  /// When `persist` is true the entity is appended afterwards, exactly
-  /// like AddRecord; the owner shard persists, peers only match.
-  /// `stats` (optional) is added to by MatchRecord.
+  /// Scores `entity` against this service's dataset and returns the
+  /// accepted links (ascending local index order, unranked). When
+  /// `persist` is true the entity is appended afterwards, exactly like
+  /// AddRecord, and `record_index` (optional) receives its index; a
+  /// shard router's owner shard persists, its peers only match. `stats`
+  /// (optional) is added to by MatchRecord.
   std::vector<ScoredLink> MatchScored(const data::SpatialEntity& entity,
                                       bool persist,
-                                      obs::LinkStats* stats = nullptr);
+                                      obs::LinkStats* stats = nullptr,
+                                      size_t* record_index = nullptr);
 
-  /// Read-only fallback: matches each entity against the degraded
-  /// index by name similarity + radius gate. Never touches the linker
-  /// or its mutex, so it stays responsive while the linker is wedged.
-  /// Results carry degraded = true and are NOT persisted.
+  /// Read-only fallback: matches each entity against the linker's
+  /// records by name similarity + radius gate. It takes the records lock
+  /// — never the linker mutex, so a wedged linker cannot stall it — and
+  /// scores names after releasing it. Results carry degraded = true and
+  /// are NOT persisted.
   std::vector<LinkResult> LinkDegraded(
       const std::vector<data::SpatialEntity>& entities) const;
 
+  /// Read under the records lock, so safe while the linker is wedged.
   size_t record_count() const;
 
   /// SaveModel text of the served model (immutable after construction).
@@ -137,25 +136,15 @@ class LinkService {
   uint32_t shard_id() const { return shard_id_; }
 
  private:
-  struct DegradedEntry {
-    uint64_t id = 0;
-    std::string source;
-    std::string name;             // original, for the response
-    std::string normalized_name;  // match key
-    geo::GeoPoint location;
-  };
-  static DegradedEntry MakeDegradedEntry(const data::SpatialEntity& e);
-
-  mutable std::mutex mutex_;
+  std::mutex mutex_;  // the linker's write serialization
   core::IncrementalLinker linker_;
   const std::string model_text_;
   uint32_t shard_id_ = 0;
 
-  // Separate mutex: a wedged linker thread stalls inside mutex_, and
-  // the degraded path must not queue behind it.
-  mutable std::mutex degraded_mutex_;
-  std::vector<DegradedEntry> degraded_index_;
-  const DegradedOptions degraded_options_;
+  // Excludes Append (taken inside mutex_) from the readers that skip
+  // mutex_, LinkDegraded and record_count: a wedged linker thread stalls
+  // inside mutex_, and they must not queue behind it.
+  mutable std::shared_mutex records_mutex_;
 };
 
 /// Builds a LinkService from a dataset and a trained model: blocks the

@@ -48,6 +48,9 @@ class ShardBackend {
   /// Total records across all shards (for /healthz).
   virtual size_t record_count() const = 0;
 
+  /// Jobs waiting in the shards' queues, summed (for /healthz).
+  virtual size_t queue_depth() const = 0;
+
   virtual size_t num_shards() const = 0;
 
   /// SaveModel text of the served model (all shards serve one model).

@@ -28,7 +28,6 @@ ShardNode::ShardNode(size_t id, std::unique_ptr<serve::LinkService> service,
       options_(options),
       queue_(options.queue_capacity),
       breaker_(options.breaker),
-      record_count_(global_of_local_.size()),
       heartbeat_ms_(NowMs()),
       stall_point_("shard." + std::to_string(id) + ".stall"),
       error_point_("shard." + std::to_string(id) + ".error") {}
@@ -93,10 +92,7 @@ void ShardNode::Process(ShardJob& job) {
     return;
   }
   reply.links = service_->MatchScored(job.entity, job.persist, &reply.stats);
-  if (job.persist) {
-    global_of_local_.push_back(job.global_index);
-    record_count_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (job.persist) global_of_local_.push_back(job.global_index);
   // Report in global indices: the router and clients never see local
   // shard positions.
   for (serve::ScoredLink& link : reply.links) {

@@ -78,9 +78,7 @@ class ShardNode {
   size_t id() const { return id_; }
   serve::CircuitBreaker& breaker() { return breaker_; }
   size_t queue_depth() const { return queue_.size(); }
-  size_t record_count() const {
-    return record_count_.load(std::memory_order_relaxed);
-  }
+  size_t record_count() const { return service_->record_count(); }
   int64_t heartbeat_ms() const {
     return heartbeat_ms_.load(std::memory_order_relaxed);
   }
@@ -100,7 +98,6 @@ class ShardNode {
   const ShardNodeOptions options_;
   serve::BatchQueue<ShardJob> queue_;
   serve::CircuitBreaker breaker_;
-  std::atomic<size_t> record_count_;
   std::atomic<int64_t> heartbeat_ms_;
   std::atomic<bool> busy_{false};
   std::atomic<bool> wedged_{false};

@@ -5,7 +5,6 @@
 #include <future>
 #include <utility>
 
-#include "core/linker.h"
 #include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -137,30 +136,14 @@ std::vector<serve::LinkResult> Router::Link(
     serve::LinkResult result;
     {
       SKYEX_PHASE("shard/gather", prof::Phase::kServe, &phases->gather_us);
-      result.record_index = global_index;
-      result.degraded = failed > 0;
       if (succeeded > 0 || failed == 0) {
-        std::sort(gathered.begin(), gathered.end(),
-                  [](const serve::ScoredLink& a, const serve::ScoredLink& b) {
-                    return serve::LinkRankBefore(a.score, a.snapshot.id,
-                                                 a.record, b.score,
-                                                 b.snapshot.id, b.record);
-                  });
-        result.links.reserve(gathered.size());
-        std::vector<const data::SpatialEntity*> cluster;
-        cluster.reserve(gathered.size() + 1);
-        for (const serve::ScoredLink& link : gathered) {
-          result.links.push_back(serve::LinkedRecord{
-              link.record, link.snapshot.id, link.snapshot.name,
-              std::string(data::SourceName(link.snapshot.source))});
-          cluster.push_back(&link.snapshot);
-        }
-        cluster.push_back(&entity);
-        result.merged = core::MergeRecords(cluster);
+        result = serve::RankAndMerge(entity, global_index, std::move(gathered));
       } else {
         // Every target lost: nothing to merge beyond the entity itself.
+        result.record_index = global_index;
         result.merged = entity;
       }
+      result.degraded = failed > 0;
       SKYEX_COUNTER_INC("serve/link_requests");
       SKYEX_COUNTER_ADD("serve/linked_records", result.links.size());
       if (result.degraded) SKYEX_COUNTER_INC("shard/degraded_results");
@@ -173,6 +156,12 @@ std::vector<serve::LinkResult> Router::Link(
 size_t Router::record_count() const {
   size_t total = 0;
   for (const auto& node : nodes_) total += node->record_count();
+  return total;
+}
+
+size_t Router::queue_depth() const {
+  size_t total = 0;
+  for (const auto& node : nodes_) total += node->queue_depth();
   return total;
 }
 

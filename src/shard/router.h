@@ -7,16 +7,16 @@
 // Per entity: scatter to every shard whose cells intersect the
 // candidate radius (owner always included; coordinate-less entities
 // fan out everywhere), wait for the shard replies under the request
-// deadline, then gather — concatenate the global-indexed links, rank
-// deterministically (score desc, then entity id, then record index;
-// the same comparator as the unsharded path), and merge the golden
-// record from the gathered snapshots. A shard lost to its breaker,
-// queue, deadline, or fault injection degrades the result
-// ("degraded":true, partial links) instead of failing the request;
-// only when EVERY target is lost does the result fall back to the
-// bare entity. Entities of one batch are processed sequentially, so a
-// batch's earlier entities are matchable by its later ones — the same
-// intra-batch semantics as the unsharded linker.
+// deadline, then gather — concatenate the global-indexed links, then
+// rank them and merge the golden record from the gathered snapshots
+// with serve::RankAndMerge, through which the unsharded path answers
+// too. A shard lost to its breaker, queue, deadline, or fault
+// injection degrades the result ("degraded":true, partial links)
+// instead of failing the request; only when EVERY target is lost does
+// the result fall back to the bare entity. Entities of one batch are
+// processed sequentially, so a batch's earlier entities are matchable
+// by its later ones — the same intra-batch semantics as the unsharded
+// linker.
 //
 // The router runs its own watchdog: a shard whose worker stops
 // heartbeating while work is pending is marked wedged, its breaker is
@@ -66,6 +66,7 @@ class Router : public serve::ShardBackend {
       const std::vector<data::SpatialEntity>& entities, int deadline_ms,
       serve::ShardPhases* phases) override;
   size_t record_count() const override;
+  size_t queue_depth() const override;
   size_t num_shards() const override { return nodes_.size(); }
   const std::string& model_text() const override { return model_text_; }
   bool wedged() const override;

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/model_io.h"
@@ -432,6 +434,42 @@ TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   }
   EXPECT_EQ(records_across_gauges,
             static_cast<double>(TrainOnce().dataset.size()));
+}
+
+// /healthz reports the jobs queued on the shards. One shard takes one
+// job at a time and stalls on each, so concurrent requests wait in its
+// queue while a probe reads the depth.
+TEST(ShardServeTest, HealthzReportsTheShardsQueueDepth) {
+  shard::RouterOptions router_options;
+  router_options.node.max_batch = 1;
+  TestDeployment sharded = StartSharded(1, {}, router_options);
+  std::string error;
+  ASSERT_TRUE(
+      fault::Registry::Global().ArmSpec("shard.stall:after=1,ms=150", &error))
+      << error;
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.emplace_back([&sharded, i] {
+      serve::HttpClient client("127.0.0.1", sharded.port());
+      const auto response = client.Request(
+          "POST", "/v1/link", LinkBody(DuplicateEntity(950001 + i)));
+      EXPECT_TRUE(response.has_value() && response->status == 200);
+    });
+  }
+  serve::HttpClient probe("127.0.0.1", sharded.port());
+  ASSERT_TRUE(probe.ok());
+  double max_depth = 0.0;
+  for (int i = 0; i < 100 && max_depth == 0.0; ++i) {
+    const auto health = probe.Request("GET", "/healthz");
+    ASSERT_TRUE(health.has_value());
+    const auto json = obs::json::Parse(health->body, &error);
+    ASSERT_TRUE(json.has_value()) << error;
+    max_depth = std::max(max_depth, json->Find("queue_depth")->number_v);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (std::thread& client : clients) client.join();
+  fault::Registry::Global().DisarmAll();
+  EXPECT_GT(max_depth, 0.0);
 }
 
 TEST(ShardServeTest, FailedShardDegradesInsteadOfFailing) {
