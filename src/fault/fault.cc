@@ -57,8 +57,9 @@ struct Registry::Impl {
   };
 
   mutable std::mutex mutex;
-  // unique_ptr: Point addresses stay stable across map growth, so Fire
-  // can bump counters outside the lock.
+  // unique_ptr: Point addresses stay stable across map growth, and a
+  // point is never freed (disarming only marks it inactive), so Fire
+  // can bump counters outside the lock while another thread disarms.
   std::map<std::string, std::unique_ptr<Point>> points;
 };
 
@@ -177,27 +178,36 @@ void Registry::Disarm(const std::string& point) {
 
 void Registry::DisarmAll() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->points.clear();
+  for (const auto& [name, p] : impl_->points) {
+    p->active = false;
+    p->hits.store(0, std::memory_order_relaxed);
+    p->firings.store(0, std::memory_order_relaxed);
+  }
   armed_.store(false, std::memory_order_relaxed);
 }
 
 bool Registry::Fire(const char* point, FaultAction* action) {
+  // The config and seed are copied under the lock: Arm rewrites them in
+  // place, and may do so while this thread decides.
   Impl::Point* p = nullptr;
+  FaultConfig config;
+  uint64_t seed = 0;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     const auto it = impl_->points.find(point);
     if (it == impl_->points.end() || !it->second->active) return false;
     p = it->second.get();
+    config = p->config;
+    seed = p->seed;
   }
   const uint64_t hit = p->hits.fetch_add(1, std::memory_order_relaxed) + 1;
-  const FaultConfig& config = p->config;
   bool triggered = false;
   if (config.every > 0 && hit % config.every == 0) triggered = true;
   if (config.after > 0 && hit >= config.after) triggered = true;
   if (!triggered && config.probability > 0.0) {
     // Counter-based: decision depends only on (seed, hit), so a spec
     // replays identically however threads interleave other points.
-    const uint64_t r = par::SplitMix64(p->seed ^ hit);
+    const uint64_t r = par::SplitMix64(seed ^ hit);
     const double unit =
         static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
     triggered = unit < config.probability;

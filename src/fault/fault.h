@@ -67,7 +67,9 @@ class Registry {
   /// malformed spec (nothing is armed in that case).
   bool ArmSpec(const std::string& spec, std::string* error);
 
-  /// Disarms one point / everything (counters reset too).
+  /// Disarms one point (its counters are kept) / every point (counters
+  /// reset). A disarmed point is only marked inactive, never freed, so
+  /// a thread firing it meanwhile stays safe.
   void Disarm(const std::string& point);
   void DisarmAll();
 

@@ -51,7 +51,7 @@ void WriteTimelineJson(std::ostream& out, const RequestTimeline& t) {
   out << ",\"rank_us\":";
   AppendUs(out, t.link.rank_us);
   if (t.shards_touched > 0) {
-    // Scatter-gather requests only, so unsharded dumps keep their shape.
+    // Link requests only, so other endpoints' dumps stay short.
     out << ",\"scatter_us\":";
     AppendUs(out, t.scatter_us);
     out << ",\"shard_link_us\":";

@@ -60,7 +60,7 @@ struct RequestTimeline {
   double queue_wait_us = 0.0;
   double batch_wait_us = 0.0;
   LinkStats link;
-  // Sharded serving only (all 0 on the unsharded path): the
+  // Link requests only (all 0 on other endpoints): the router's
   // scatter-gather split of the link phase, plus the request's fan-out.
   double scatter_us = 0.0;
   double shard_link_us = 0.0;

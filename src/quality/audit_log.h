@@ -3,7 +3,7 @@
 
 // Decision audit log: an append-only, sampled record of every link
 // decision the serving layer makes, written asynchronously so the
-// linker thread never blocks on disk. Each record carries enough to
+// shard workers never block on disk. Each record carries enough to
 // re-run the decision offline without the serving dataset: the request
 // id, the incoming entity id, the shard that decided, the calibrated
 // skyline cutoff (threshold key), and per candidate the prefilter

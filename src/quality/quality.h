@@ -12,8 +12,8 @@
 // when --audit-log or a reference profile is given).
 //
 // Thread-safety: Enable/Disable bracket serving; every other member is
-// safe to call concurrently (the linker thread and per-shard node
-// threads all feed the same runtime).
+// safe to call concurrently (the per-shard node threads and the
+// router's I/O workers all feed the same runtime).
 
 #include <atomic>
 #include <cstdint>

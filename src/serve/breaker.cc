@@ -106,15 +106,6 @@ uint64_t CircuitBreaker::opens() const {
   return opens_;
 }
 
-const char* CircuitBreaker::StateName(int64_t now_ms) {
-  switch (state(now_ms)) {
-    case State::kClosed: return "closed";
-    case State::kOpen: return "open";
-    case State::kHalfOpen: return "half_open";
-  }
-  return "closed";
-}
-
 void CircuitBreaker::Open(int64_t now_ms) {
   if (state_ != State::kOpen) {
     ++opens_;

@@ -1,13 +1,13 @@
 #ifndef SKYEX_SERVE_BREAKER_H_
 #define SKYEX_SERVE_BREAKER_H_
 
-// Circuit breaker around the linker: when the recent link-job failure
-// rate (deadline expiries, linker faults, watchdog trips) blows the
-// budget, the breaker opens and the server sheds /v1/link* load with
-// 503 + a *jittered* Retry-After — deterministic backoff would herd
-// every shed client back in the same instant. After `open_ms` the
-// breaker admits a single half-open probe; its outcome decides between
-// closing again and another open period.
+// Circuit breaker around a shard's linker: when the recent job failure
+// rate (deadline expiries, shard faults, watchdog trips) blows the
+// budget, the breaker opens and the shard refuses jobs; a request every
+// target refuses is shed with 503 + a *jittered* Retry-After —
+// deterministic backoff would herd every shed client back in the same
+// instant. After `open_ms` the breaker admits a single half-open probe;
+// its outcome decides between closing again and another open period.
 
 #include <cstdint>
 #include <mutex>
@@ -57,8 +57,6 @@ class CircuitBreaker {
 
   /// Times the breaker transitioned Closed/HalfOpen -> Open.
   uint64_t opens() const;
-
-  const char* StateName(int64_t now_ms);
 
  private:
   void Open(int64_t now_ms);          // mutex held

@@ -219,9 +219,41 @@ LinkResult RankAndMerge(const data::SpatialEntity& entity,
   return result;
 }
 
+RecordIndexMap::RecordIndexMap(const std::vector<size_t>& global_of_local) {
+  while (identity_ < global_of_local.size() &&
+         global_of_local[identity_] == identity_) {
+    ++identity_;
+  }
+  rest_.assign(global_of_local.begin() +
+                   static_cast<std::ptrdiff_t>(identity_),
+               global_of_local.end());
+}
+
+void RecordIndexMap::Append(size_t global) {
+  if (rest_.empty() && global == identity_) {
+    ++identity_;
+  } else {
+    rest_.push_back(global);
+  }
+}
+
 LinkService::LinkService(core::IncrementalLinker linker,
                          std::string model_text)
-    : linker_(std::move(linker)), model_text_(std::move(model_text)) {}
+    : linker_(std::move(linker)),
+      model_text_(std::move(model_text)),
+      index_({}),
+      own_next_index_(linker_.dataset().size()),
+      next_index_(&own_next_index_) {
+  for (size_t i = 0; i < linker_.dataset().size(); ++i) index_.Append(i);
+}
+
+void LinkService::ShareIndexSpace(const std::vector<size_t>& global_of_local,
+                                  std::atomic<size_t>* next_index) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::shared_mutex> records_lock(records_mutex_);
+  index_ = RecordIndexMap(global_of_local);
+  next_index_ = next_index;
+}
 
 std::vector<LinkResult> LinkService::LinkMany(
     const std::vector<data::SpatialEntity>& entities,
@@ -258,16 +290,21 @@ std::vector<ScoredLink> LinkService::MatchScored(
   if (capturing) {
     quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
   }
+  // index_ changes only under this mutex too, so no records lock here.
   const data::Dataset& dataset = linker_.dataset();
   std::vector<ScoredLink> links;
   links.reserve(matches.size());
   for (const core::ScoredMatch& m : matches) {
-    links.push_back(ScoredLink{m.index, m.score, dataset[m.index]});
+    links.push_back(
+        ScoredLink{index_.Global(m.index), m.score, dataset[m.index]});
   }
   if (persist) {
     std::unique_lock<std::shared_mutex> records_lock(records_mutex_);
     linker_.Append(entity);
-    if (record_index != nullptr) *record_index = dataset.size() - 1;
+    const size_t global =
+        next_index_->fetch_add(1, std::memory_order_relaxed);
+    index_.Append(global);
+    if (record_index != nullptr) *record_index = global;
   }
   return links;
 }
@@ -278,13 +315,6 @@ std::vector<LinkResult> LinkService::LinkDegraded(
   std::vector<LinkResult> results;
   results.reserve(entities.size());
   for (const data::SpatialEntity& entity : entities) {
-    // Degraded answers audit as decision-less records: the entity was
-    // served but the model never scored it.
-    quality::Runtime& quality_runtime = quality::Runtime::Global();
-    quality_runtime.ObserveEntity(entity);
-    if (quality_runtime.ShouldCapture()) {
-      quality_runtime.RecordDegraded(entity, shard_id_);
-    }
     LinkResult result;
     result.degraded = true;
     // Candidates are copied out under the records lock and their names
@@ -293,7 +323,8 @@ std::vector<LinkResult> LinkService::LinkDegraded(
     {
       std::shared_lock<std::shared_mutex> lock(records_mutex_);
       const data::Dataset& records = linker_.dataset();
-      result.record_index = records.size();  // where it *would* land
+      // Where it *would* land.
+      result.record_index = next_index_->load(std::memory_order_relaxed);
       for (size_t i : linker_.grid().HaversineCandidates(entity.location,
                                                          kDegradedRadiusM)) {
         const data::SpatialEntity& record = records[i];
@@ -303,7 +334,7 @@ std::vector<LinkResult> LinkService::LinkDegraded(
           continue;
         }
         candidates.push_back(
-            LinkedRecord{i, record.id, record.name,
+            LinkedRecord{index_.Global(i), record.id, record.name,
                          std::string(data::SourceName(record.source))});
       }
     }
@@ -420,14 +451,22 @@ std::vector<std::unique_ptr<LinkService>> BootstrapShardedLinkServices(
   std::vector<std::unique_ptr<LinkService>> services;
   services.reserve(partitions.size());
   for (const std::vector<size_t>& partition : partitions) {
+    // Records move into their one partition; a copy would leave the
+    // heap holding the store twice while the shards are built.
     data::Dataset slice;
     slice.entities.reserve(partition.size());
-    for (size_t i : partition) slice.entities.push_back(dataset[i]);
+    for (size_t i : partition) {
+      slice.entities.push_back(std::move(dataset.entities[i]));
+    }
     // Every shard gets the full-corpus extractor and the globally
-    // calibrated threshold; only the record partition differs.
-    core::IncrementalLinker linker(std::move(slice), *cal.extractor,
-                                   CloneModel(model), cal.features,
-                                   cal.accepted, options);
+    // calibrated threshold; only the record partition differs. The last
+    // shard takes the calibration's own extractor and model.
+    const bool last = services.size() + 1 == partitions.size();
+    core::IncrementalLinker linker(
+        std::move(slice),
+        last ? std::move(*cal.extractor) : *cal.extractor,
+        last ? std::move(model) : CloneModel(model), cal.features,
+        cal.accepted, options);
     services.push_back(
         std::make_unique<LinkService>(std::move(linker), text));
     services.back()->set_shard_id(

@@ -9,14 +9,20 @@
 //
 // Every link runs through MatchScored under the linker mutex, and
 // LinkMany answers through RankAndMerge, as the shard router's gather
-// does. When the full path is unavailable — deadline expired, linker
-// wedged — the server answers from LinkDegraded: Jaro-Winkler on
+// does. When the full path is unavailable — deadline expired, shard
+// wedged — the router answers from LinkDegraded: Jaro-Winkler on
 // normalised names over the linker's own records, located pairs gated
 // by a Haversine radius, candidates from the linker's grid. It reads
 // under a records lock that only an append takes exclusively, so a
 // wedged MatchRecord cannot hold it up. Degraded answers are read-only
 // (nothing is persisted) and marked "degraded":true in the response.
+//
+// Record indices are global: a shard's service holds part of the index
+// space (RecordIndexMap) and takes each append's index from a counter
+// its router shares, so links and record_index never expose local
+// positions.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -62,7 +68,7 @@ struct ScoredLink {
 /// Ranks `links` (strongest score first, then entity id, then record
 /// index) and merges the golden record of them and `entity`, stored at
 /// `record_index`. LinkMany and the shard router's gather both answer
-/// through it, so `--shards=1` is byte-identical to the unsharded server.
+/// through it.
 LinkResult RankAndMerge(const data::SpatialEntity& entity,
                         size_t record_index, std::vector<ScoredLink> links);
 
@@ -91,6 +97,24 @@ void WriteLinkResultJson(json::Writer* writer, const LinkResult& result,
 /// linker's obs::LinkStats summed over every record of the batch.
 using LinkBatchStats = obs::LinkStats;
 
+/// Local -> global record indices of one service's records, extended
+/// in append order. The longest prefix on which the two agree is kept as
+/// a count, so a service that holds the whole index space keeps no
+/// table at all; only the records past it are listed.
+class RecordIndexMap {
+ public:
+  explicit RecordIndexMap(const std::vector<size_t>& global_of_local);
+
+  size_t Global(size_t local) const {
+    return local < identity_ ? local : rest_[local - identity_];
+  }
+  void Append(size_t global);
+
+ private:
+  size_t identity_ = 0;
+  std::vector<size_t> rest_;
+};
+
 /// Serializes IncrementalLinker access behind one mutex — the write
 /// contract of core/incremental.h. Every link the service makes runs
 /// through MatchScored, one lock acquisition per entity.
@@ -106,11 +130,11 @@ class LinkService {
       LinkBatchStats* stats = nullptr);
 
   /// Scores `entity` against this service's dataset and returns the
-  /// accepted links (ascending local index order, unranked). When
-  /// `persist` is true the entity is appended afterwards, exactly like
-  /// AddRecord, and `record_index` (optional) receives its index; a
-  /// shard router's owner shard persists, its peers only match. `stats`
-  /// (optional) is added to by MatchRecord.
+  /// accepted links (ascending index order, unranked). When `persist`
+  /// is true the entity is appended afterwards, exactly like AddRecord,
+  /// takes the next global index, and `record_index` (optional)
+  /// receives it; a shard router's owner shard persists, its peers only
+  /// match. `stats` (optional) is added to by MatchRecord.
   std::vector<ScoredLink> MatchScored(const data::SpatialEntity& entity,
                                       bool persist,
                                       obs::LinkStats* stats = nullptr,
@@ -119,10 +143,20 @@ class LinkService {
   /// Read-only fallback: matches each entity against the linker's
   /// records by name similarity + radius gate. It takes the records lock
   /// — never the linker mutex, so a wedged linker cannot stall it — and
-  /// scores names after releasing it. Results carry degraded = true and
-  /// are NOT persisted.
+  /// scores names after releasing it. Results carry degraded = true,
+  /// the index the entity would be appended at, and are NOT persisted.
+  /// The quality hooks are the caller's: one entity may be matched on
+  /// several shards but is observed once.
   std::vector<LinkResult> LinkDegraded(
       const std::vector<data::SpatialEntity>& entities) const;
+
+  /// Places this service's records in an index space shared with other
+  /// services (the shards of one router): local record i is global
+  /// index `global_of_local[i]`, and each append takes the next index
+  /// from `next_index`, which must outlive the service. Until then a
+  /// service numbers its own records 0, 1, ... Call before serving.
+  void ShareIndexSpace(const std::vector<size_t>& global_of_local,
+                       std::atomic<size_t>* next_index);
 
   /// Read under the records lock, so safe while the linker is wedged.
   size_t record_count() const;
@@ -130,7 +164,7 @@ class LinkService {
   /// SaveModel text of the served model (immutable after construction).
   const std::string& model_text() const { return model_text_; }
 
-  /// Shard identity stamped into audit records (0 unsharded). Set once
+  /// Shard identity stamped into audit records (0 on one shard). Set once
   /// at bootstrap, before serving starts.
   void set_shard_id(uint32_t shard_id) { shard_id_ = shard_id; }
   uint32_t shard_id() const { return shard_id_; }
@@ -142,9 +176,13 @@ class LinkService {
   uint32_t shard_id_ = 0;
 
   // Excludes Append (taken inside mutex_) from the readers that skip
-  // mutex_, LinkDegraded and record_count: a wedged linker thread stalls
-  // inside mutex_, and they must not queue behind it.
+  // mutex_, LinkDegraded and record_count: a wedged shard worker stalls
+  // inside mutex_, and they must not queue behind it. It also guards
+  // index_, which an append extends.
   mutable std::shared_mutex records_mutex_;
+  RecordIndexMap index_;
+  std::atomic<size_t> own_next_index_;
+  std::atomic<size_t>* next_index_;  // own_next_index_ or a router's
 };
 
 /// Builds a LinkService from a dataset and a trained model: blocks the
@@ -162,12 +200,13 @@ std::unique_ptr<LinkService> BootstrapLinkService(
 
 /// Sharded variant: runs the SAME global calibration once on the full
 /// dataset, then builds one LinkService per partition, each holding its
-/// partition's records plus the full-corpus extractor and the global
-/// acceptance threshold (so a pair links on a shard iff it would link
-/// unsharded). `partitions[s]` lists dataset indices owned by shard s —
-/// every index in exactly one partition, original order preserved.
-/// `model_text` (optional) receives the served model text. Empty vector
-/// + `error` on failure.
+/// partition's records (moved out of `dataset`) plus the full-corpus
+/// extractor and the global acceptance threshold (so a pair links on a
+/// shard iff it would link on one). `partitions[s]` lists dataset
+/// indices owned by shard s — every index in exactly one partition,
+/// original order preserved. Each service numbers its own records;
+/// ShareIndexSpace places them. `model_text` (optional) receives the
+/// served model text. Empty vector + `error` on failure.
 std::vector<std::unique_ptr<LinkService>> BootstrapShardedLinkServices(
     data::Dataset dataset, core::SkyExTModel model,
     const core::IncrementalLinkerOptions& options,

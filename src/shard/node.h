@@ -1,18 +1,19 @@
 #ifndef SKYEX_SHARD_NODE_H_
 #define SKYEX_SHARD_NODE_H_
 
-// One shard of the sharded serving deployment: a LinkService over its
-// partition of the dataset, fronted by its own bounded job queue and a
-// dedicated micro-batching worker thread (mirroring the unsharded
-// server's admission -> queue -> linker-thread pipeline, one instance
-// per shard). The router talks to a node only through TryEnqueue and
-// the job's promise — a message-shaped seam, so moving a node out of
-// process is a transport change, not an architecture change.
+// One shard of the serving pipeline: a LinkService over its partition
+// of the dataset, fronted by its own bounded job queue and a dedicated
+// micro-batching worker thread — the admission -> queue -> linker
+// pipeline, one instance per shard. The router talks to a node only
+// through TryEnqueue and the job's promise — a message-shaped seam, so
+// moving a node out of process is a transport change, not an
+// architecture change.
 //
-// Jobs carry LOCAL match work but reply in GLOBAL record indices: the
-// node owns the local->global translation table (original dataset
-// positions for bootstrapped records, router-assigned indices for
-// appends), touched only by the node thread.
+// A job is one request's work on this shard: the request's entities
+// that target it, in request order, so a batch takes one queue slot and
+// one linger. Replies are in GLOBAL record indices: the service maps
+// its records into the router's index space and takes each append's
+// index when it persists (serve::LinkService::ShareIndexSpace).
 
 #include <atomic>
 #include <cstdint>
@@ -30,39 +31,52 @@
 
 namespace skyex::shard {
 
-/// A shard's answer to one scattered entity. `links` carry global
-/// record indices and entity snapshots, `stats` the shard linker's
-/// record of the match; `ok` is false when the job was skipped
-/// (cancelled by the deadline before the node reached it) or failed by
-/// fault injection.
-struct ShardReply {
-  bool ok = false;
-  std::vector<serve::ScoredLink> links;
-  obs::LinkStats stats;
+/// One entity of a job: its position in the request and whether this
+/// shard owns (persists) it.
+struct ShardTask {
+  size_t entity = 0;
+  bool persist = false;
 };
 
-/// One scattered entity, as enqueued on a shard.
+/// A shard's answer to one job. `ok` is false when the job was skipped
+/// (cancelled by the deadline before the node reached it) or failed by
+/// fault injection; otherwise `links[t]` holds task t's accepted links
+/// (global indices, entity snapshots) and `record_index[t]` the global
+/// index a persisted task was appended at. The timings and `stats`
+/// feed the request's flight timeline.
+struct ShardReply {
+  bool ok = false;
+  std::vector<std::vector<serve::ScoredLink>> links;
+  std::vector<size_t> record_index;
+  obs::LinkStats stats;         // the job's linker record
+  double queue_wait_us = 0.0;   // enqueue -> batch popped
+  double batch_wait_us = 0.0;   // batch popped -> linking starts
+  uint32_t batch_size = 0;      // entities linked in the node's batch
+};
+
+/// One request's work on one shard, as enqueued.
 struct ShardJob {
-  data::SpatialEntity entity;
-  size_t global_index = 0;  // the entity's global index, if persisted
-  bool persist = false;     // true on the owner shard only
-  std::shared_ptr<std::atomic<bool>> cancelled;  // deadline expiry flag
+  std::shared_ptr<const std::vector<data::SpatialEntity>> entities;
+  std::vector<ShardTask> tasks;
+  double enqueue_us = 0.0;
+  uint64_t request_id = 0;
+  // Set by the router when it stops waiting; the node then skips the
+  // job instead of mutating the dataset for a caller that gave up.
+  std::shared_ptr<std::atomic<bool>> cancelled;
   std::promise<ShardReply> reply;
 };
 
 struct ShardNodeOptions {
-  size_t queue_capacity = 128;
-  int batch_window_us = 200;  // micro-batching linger
-  size_t max_batch = 16;
+  size_t queue_capacity = 128;    // jobs admitted (429 beyond)
+  int batch_window_us = 1000;     // micro-batching linger
+  size_t max_batch = 64;          // jobs drained per wakeup
   serve::CircuitBreakerOptions breaker;
 };
 
 class ShardNode {
  public:
-  /// `global_of_local[i]` is the global index of the service's local
-  /// record i (the bootstrap partition, original dataset positions).
   ShardNode(size_t id, std::unique_ptr<serve::LinkService> service,
-            std::vector<size_t> global_of_local, ShardNodeOptions options);
+            ShardNodeOptions options);
   ~ShardNode();
 
   ShardNode(const ShardNode&) = delete;
@@ -76,6 +90,7 @@ class ShardNode {
   serve::PushResult TryEnqueue(ShardJob job);
 
   size_t id() const { return id_; }
+  serve::LinkService& service() { return *service_; }
   serve::CircuitBreaker& breaker() { return breaker_; }
   size_t queue_depth() const { return queue_.size(); }
   size_t record_count() const { return service_->record_count(); }
@@ -90,11 +105,11 @@ class ShardNode {
 
  private:
   void Loop();
-  void Process(ShardJob& job);
+  // Links `job` into `reply`, or leaves it not ok (skipped, failed).
+  void Process(const ShardJob& job, ShardReply* reply);
 
   const size_t id_;
   std::unique_ptr<serve::LinkService> service_;
-  std::vector<size_t> global_of_local_;  // node thread only
   const ShardNodeOptions options_;
   serve::BatchQueue<ShardJob> queue_;
   serve::CircuitBreaker breaker_;

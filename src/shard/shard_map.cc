@@ -8,8 +8,10 @@ namespace skyex::shard {
 
 ShardMap::ShardMap(std::vector<geo::GeoPoint> points, size_t num_shards,
                    ShardMapOptions options)
-    : points_(std::move(points)),
+    : num_points_(points.size()),
       num_shards_(std::max<size_t>(1, num_shards)) {
+  if (num_shards_ == 1) return;  // one shard owns every cell: no tree
+  points_ = std::move(points);
   geo::Quadtree::Options tree_options;
   tree_options.capacity = options.capacity;
   tree_options.max_depth = options.max_depth;
@@ -40,7 +42,7 @@ ShardMap::ShardMap(std::vector<geo::GeoPoint> points, size_t num_shards,
 }
 
 size_t ShardMap::OwnerOf(const geo::GeoPoint& p) const {
-  if (!p.valid) return 0;
+  if (!p.valid || tree_ == nullptr) return 0;
   const int ordinal = tree_->RouteLeafOrdinal(p);
   if (ordinal < 0 || static_cast<size_t>(ordinal) >= leaf_shard_.size()) {
     return 0;
@@ -51,7 +53,7 @@ size_t ShardMap::OwnerOf(const geo::GeoPoint& p) const {
 std::vector<size_t> ShardMap::ShardsIntersecting(const geo::GeoPoint& p,
                                                  double radius_m) const {
   std::vector<size_t> shards;
-  if (!p.valid) {
+  if (!p.valid || tree_ == nullptr) {
     shards.resize(num_shards_);
     std::iota(shards.begin(), shards.end(), size_t{0});
     return shards;
@@ -67,8 +69,8 @@ std::vector<size_t> ShardMap::ShardsIntersecting(const geo::GeoPoint& p,
 
 std::vector<std::vector<size_t>> ShardMap::Partitions() const {
   std::vector<std::vector<size_t>> partitions(num_shards_);
-  for (size_t i = 0; i < points_.size(); ++i) {
-    partitions[OwnerOf(points_[i])].push_back(i);
+  for (size_t i = 0; i < num_points_; ++i) {
+    partitions[tree_ != nullptr ? OwnerOf(points_[i]) : 0].push_back(i);
   }
   return partitions;
 }

@@ -15,7 +15,10 @@
 //
 // Records without coordinates cannot be placed spatially; they all
 // live on shard 0, and queries without coordinates fan out to every
-// shard (the cartesian-fallback analogue of the unsharded linker).
+// shard (the cartesian-fallback analogue of a single linker).
+//
+// One shard owns every cell, so a one-shard map keeps neither the
+// points nor the tree: it answers shard 0 for everything.
 
 #include <cstddef>
 #include <memory>
@@ -43,6 +46,7 @@ class ShardMap {
   ShardMap& operator=(const ShardMap&) = delete;
 
   size_t num_shards() const { return num_shards_; }
+  /// Quadtree leaves (0 for a one-shard map, which has no tree).
   size_t num_leaves() const { return leaf_shard_.size(); }
 
   /// Shard owning `p`: the shard of the quadtree leaf the point routes
@@ -54,7 +58,7 @@ class ShardMap {
   /// Shards that could hold a record within `radius_m` of `p`, owner
   /// included — the scatter target set. Sorted, unique. An invalid `p`
   /// returns every shard (a coordinate-less query must scan the whole
-  /// corpus, like the unsharded cartesian fallback).
+  /// corpus, like a single linker's cartesian fallback).
   std::vector<size_t> ShardsIntersecting(const geo::GeoPoint& p,
                                          double radius_m) const;
 
@@ -68,9 +72,10 @@ class ShardMap {
   const std::vector<size_t>& leaf_shard() const { return leaf_shard_; }
 
  private:
-  std::vector<geo::GeoPoint> points_;
+  size_t num_points_ = 0;
   size_t num_shards_ = 1;
-  std::unique_ptr<geo::Quadtree> tree_;  // references points_
+  std::vector<geo::GeoPoint> points_;    // empty for one shard
+  std::unique_ptr<geo::Quadtree> tree_;  // references points_; or null
   std::vector<size_t> leaf_shard_;
 };
 

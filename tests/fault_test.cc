@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,6 +244,37 @@ TEST_F(FaultTest, DisarmStopsOnePointAndDisarmAllClearsTheGate) {
   Registry::Global().Disarm("test.two");
   EXPECT_FALSE(Registry::Global().armed());
   EXPECT_FALSE(SKYEX_FAULT_FIRE("test.two", nullptr));
+}
+
+// Serving threads fire points while a test or an operator re-arms and
+// disarms them. Under TSan this pins that Fire reads no point state that
+// Arm rewrites or DisarmAll frees.
+TEST_F(FaultTest, FiringWhileArmingAndDisarmingIsRaceFree) {
+  std::atomic<bool> stop{false};
+  std::thread firer([&stop] {
+    FaultAction action;
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (SKYEX_FAULT_FIRE("test.race", &action)) {
+        EXPECT_GE(action.ms, 1.0);
+      }
+    }
+  });
+  std::string error;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(Registry::Global().ArmSpec(
+        "test.race:every=" + std::to_string(1 + i % 3) +
+            ",ms=" + std::to_string(1 + i % 7),
+        &error))
+        << error;
+    if (i % 2 == 0) {
+      Registry::Global().DisarmAll();
+    } else {
+      Registry::Global().Disarm("test.race");
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  firer.join();
+  EXPECT_FALSE(Registry::Global().armed());
 }
 
 TEST_F(FaultTest, EmptySpecAndEmptyEntriesAreFine) {

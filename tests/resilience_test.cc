@@ -1,10 +1,11 @@
 // Resilience tests: the circuit breaker state machine in isolation,
 // then the hardened serving path end to end — deadlines expiring into
-// degraded answers or 503s, the breaker opening under sustained
-// failures and recovering through a half-open probe, the watchdog
-// flagging a wedged linker on /healthz, and socket-level fault points
-// (short reads, EINTR, slow I/O) leaving request handling correct.
-// Server-level fault scenarios are driven by the src/fault/ registry.
+// degraded answers or 503s (at one shard and at two), the breaker
+// opening under sustained failures and recovering through a half-open
+// probe, the watchdog flagging a wedged linker on /healthz, and
+// socket-level fault points (short reads, EINTR, slow I/O) leaving
+// request handling correct. Server-level fault scenarios are driven by
+// the src/fault/ registry.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "serve/json_writer.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "shard/router.h"
 
 namespace skyex {
 namespace {
@@ -152,36 +154,41 @@ const Trained& TrainOnce() {
 }
 
 struct TestServer {
-  std::unique_ptr<serve::LinkService> service;
+  std::unique_ptr<shard::Router> router;
   std::unique_ptr<serve::Server> server;
 
   uint16_t port() const { return server->port(); }
 };
 
-TestServer StartServer(serve::ServerOptions options = {}) {
+TestServer StartServer(serve::ServerOptions options = {}, size_t shards = 1,
+                       shard::RouterOptions pipeline = {}) {
   const Trained& trained = TrainOnce();
   auto model = core::LoadModel(trained.model_text);
   EXPECT_TRUE(model.has_value());
   std::string error;
   TestServer ts;
-  ts.service = serve::BootstrapLinkService(
-      trained.dataset, std::move(*model), {}, &error);
-  EXPECT_NE(ts.service, nullptr) << error;
+  ts.router = shard::BootstrapRouter(trained.dataset, std::move(*model), {},
+                                     shards, pipeline, &error);
+  EXPECT_NE(ts.router, nullptr) << error;
+  ts.router->Start();
   options.port = 0;  // ephemeral
-  ts.server = std::make_unique<serve::Server>(ts.service.get(), options);
+  ts.server = std::make_unique<serve::Server>(ts.router.get(), options);
   EXPECT_TRUE(ts.server->Start(&error)) << error;
   return ts;
 }
 
-std::string LinkBody(uint64_t id) {
+// The store record LinkBody re-sends.
+const data::SpatialEntity& ResentRecord() {
   const Trained& trained = TrainOnce();
-  data::SpatialEntity entity;
-  for (size_t i = 0; i < trained.dataset.size(); ++i) {
-    const data::SpatialEntity& e = trained.dataset[i];
-    if (!e.location.valid) continue;
-    entity = e;
-    break;
+  for (const data::SpatialEntity& e : trained.dataset.entities) {
+    if (e.location.valid) return e;
   }
+  ADD_FAILURE() << "no located record in the test dataset";
+  return trained.dataset.entities.front();
+}
+
+std::string LinkBody(uint64_t id) {
+  data::SpatialEntity entity = ResentRecord();
   entity.id = id;
   serve::json::Writer writer;
   writer.BeginObject();
@@ -205,11 +212,14 @@ class ResilienceTest : public ::testing::Test {
   void TearDown() override { fault::Registry::Global().DisarmAll(); }
 };
 
-TEST_F(ResilienceTest, DeadlineExpiryFallsBackToDegradedAnswer) {
+// The deadline cases run at one shard and at two: `linker.stall` fires
+// in whichever shard worker pops the next batch.
+
+void DeadlineExpiryFallsBackToDegradedAnswer(size_t shards) {
   serve::ServerOptions options;
   options.deadline_ms = 100;
   options.degraded_fallback = true;
-  TestServer ts = StartServer(options);
+  TestServer ts = StartServer(options, shards);
   // A one-shot stall longer than the deadline: the first batch wedges
   // past the budget, so the request must come back degraded.
   std::string error;
@@ -230,11 +240,19 @@ TEST_F(ResilienceTest, DeadlineExpiryFallsBackToDegradedAnswer) {
   ts.server->Stop();  // drains cleanly with the job cancelled
 }
 
-TEST_F(ResilienceTest, DeadlineExpiryWithoutFallbackSheds503) {
+TEST_F(ResilienceTest, DeadlineExpiryFallsBackToDegradedAnswer) {
+  DeadlineExpiryFallsBackToDegradedAnswer(1);
+}
+
+TEST_F(ResilienceTest, DeadlineExpiryFallsBackToDegradedAnswerAtTwoShards) {
+  DeadlineExpiryFallsBackToDegradedAnswer(2);
+}
+
+void DeadlineExpiryWithoutFallbackSheds503(size_t shards) {
   serve::ServerOptions options;
   options.deadline_ms = 100;
   options.degraded_fallback = false;
-  TestServer ts = StartServer(options);
+  TestServer ts = StartServer(options, shards);
   std::string error;
   ASSERT_TRUE(fault::Registry::Global().ArmSpec(
       "linker.stall:after=1,times=1,ms=600", &error))
@@ -254,11 +272,19 @@ TEST_F(ResilienceTest, DeadlineExpiryWithoutFallbackSheds503) {
   ts.server->Stop();
 }
 
-TEST_F(ResilienceTest, ClockSkewEatsTheDeadlineBudget) {
+TEST_F(ResilienceTest, DeadlineExpiryWithoutFallbackSheds503) {
+  DeadlineExpiryWithoutFallbackSheds503(1);
+}
+
+TEST_F(ResilienceTest, DeadlineExpiryWithoutFallbackSheds503AtTwoShards) {
+  DeadlineExpiryWithoutFallbackSheds503(2);
+}
+
+void ClockSkewEatsTheDeadlineBudget(size_t shards) {
   serve::ServerOptions options;
   options.deadline_ms = 5000;  // generous — only skew can expire it
   options.degraded_fallback = true;
-  TestServer ts = StartServer(options);
+  TestServer ts = StartServer(options, shards);
   std::string error;
   // The skew zeroes the wait budget, so the handler polls the future
   // exactly once; a brief linker stall keeps the batch from winning
@@ -282,6 +308,65 @@ TEST_F(ResilienceTest, ClockSkewEatsTheDeadlineBudget) {
   EXPECT_NE(response->body.find("\"degraded\":true"), std::string::npos);
   // The skewed clock must not make the request *wait* the full budget.
   EXPECT_LT(elapsed.count(), 4000);
+  ts.server->Stop();
+}
+
+TEST_F(ResilienceTest, ClockSkewEatsTheDeadlineBudget) {
+  ClockSkewEatsTheDeadlineBudget(1);
+}
+
+TEST_F(ResilienceTest, ClockSkewEatsTheDeadlineBudgetAtTwoShards) {
+  ClockSkewEatsTheDeadlineBudget(2);
+}
+
+// A request lost to its deadline takes no record index: its degraded
+// answer reports where it would have landed, and the next persisted
+// entity lands there — the index space stays dense.
+TEST_F(ResilienceTest, ExpiredRequestLeavesTheIndexSpaceDenseAtTwoShards) {
+  serve::ServerOptions options;
+  options.deadline_ms = 100;
+  options.degraded_fallback = true;
+  TestServer ts = StartServer(options, 2);
+  const size_t initial = ts.router->record_count();
+  // Stall the owner shard's first job past the deadline; the worker then
+  // finds the job cancelled and skips it.
+  const size_t owner = ts.router->map().OwnerOf(ResentRecord().location);
+  std::string error;
+  ASSERT_TRUE(fault::Registry::Global().ArmSpec(
+      "shard." + std::to_string(owner) + ".stall:after=1,times=1,ms=400",
+      &error))
+      << error;
+
+  serve::HttpClient client("127.0.0.1", ts.port());
+  ASSERT_TRUE(client.ok());
+  const auto expired =
+      client.Request("POST", "/v1/link", LinkBody(3000000004));
+  ASSERT_TRUE(expired.has_value());
+  ASSERT_EQ(expired->status, 200);
+  EXPECT_NE(expired->body.find("\"degraded\":true"), std::string::npos)
+      << expired->body;
+  EXPECT_NE(expired->body.find("\"record_index\":" + std::to_string(initial)),
+            std::string::npos)
+      << expired->body;
+  EXPECT_GE(ts.server->stats().deadline_expired, 1u);
+
+  // Once the stalled job is skipped, the next entity lands at `initial`.
+  for (int i = 0; i < 100 && ts.router->node(owner).queue_depth() +
+                                     (ts.router->node(owner).busy() ? 1 : 0) >
+                                 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto next = client.Request("POST", "/v1/link", LinkBody(3000000005));
+  ASSERT_TRUE(next.has_value());
+  ASSERT_EQ(next->status, 200);
+  EXPECT_EQ(next->body.find("\"degraded\":true"), std::string::npos)
+      << next->body;
+  EXPECT_NE(next->body.find("\"record_index\":" + std::to_string(initial)),
+            std::string::npos)
+      << next->body;
+  EXPECT_EQ(ts.router->record_count(), initial + 1);
   ts.server->Stop();
 }
 
@@ -317,11 +402,12 @@ TEST_F(ResilienceTest, BreakerOpensUnderSustainedExpiryAndRecovers) {
   serve::ServerOptions options;
   options.deadline_ms = 50;
   options.degraded_fallback = true;
-  options.breaker.window = 8;
-  options.breaker.min_samples = 4;
-  options.breaker.failure_threshold = 0.5;
-  options.breaker.open_ms = 200;
-  TestServer ts = StartServer(options);
+  shard::RouterOptions pipeline;
+  pipeline.node.breaker.window = 8;
+  pipeline.node.breaker.min_samples = 4;
+  pipeline.node.breaker.failure_threshold = 0.5;
+  pipeline.node.breaker.open_ms = 200;
+  TestServer ts = StartServer(options, 1, pipeline);
   // Every batch stalls past the deadline until disarmed.
   std::string error;
   ASSERT_TRUE(fault::Registry::Global().ArmSpec(
@@ -362,8 +448,9 @@ TEST_F(ResilienceTest, WatchdogFlagsWedgedLinkerOnHealthzAndRecovers) {
   serve::ServerOptions options;
   options.deadline_ms = 100;
   options.degraded_fallback = true;
-  options.watchdog_ms = 100;
-  TestServer ts = StartServer(options);
+  shard::RouterOptions pipeline;
+  pipeline.watchdog_ms = 100;
+  TestServer ts = StartServer(options, 1, pipeline);
   std::string error;
   ASSERT_TRUE(fault::Registry::Global().ArmSpec(
       "linker.stall:after=1,times=1,ms=1000", &error))

@@ -1,7 +1,7 @@
-// Golden responses of the unsharded server. A fixed request sequence
-// with pinned X-Request-Ids runs against a fresh server on the
-// ResilienceTest world (500 North-DK records, seed 11), and every
-// response body must equal the bytes recorded below. The sequence
+// Golden responses of the server at its default of one shard. A fixed
+// request sequence with pinned X-Request-Ids runs against a fresh
+// server on the ResilienceTest world (500 North-DK records, seed 11),
+// and every response body must equal the bytes recorded below. The sequence
 // covers two single links, one /v1/link_batch, a coordinate-less
 // (Cartesian) arrival, and two deadline-expired requests that the
 // degraded path answers while the linker is stalled: one located, one
@@ -26,6 +26,7 @@
 #include "serve/json_writer.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "shard/router.h"
 
 namespace skyex {
 namespace {
@@ -121,22 +122,23 @@ std::vector<GoldenRequest> Sequence() {
   };
 }
 
-// Replays Sequence() against a fresh unsharded server and returns each
+// Replays Sequence() against a fresh one-shard server and returns each
 // response body, prefixed by its status line ("200 ").
 std::vector<std::string> Replay() {
   const Trained& trained = TrainOnce();
   auto model = core::LoadModel(trained.model_text);
   EXPECT_TRUE(model.has_value());
   std::string error;
-  std::unique_ptr<serve::LinkService> service = serve::BootstrapLinkService(
-      trained.dataset, std::move(*model), {}, &error);
-  EXPECT_NE(service, nullptr) << error;
+  std::unique_ptr<shard::Router> router = shard::BootstrapRouter(
+      trained.dataset, std::move(*model), {}, 1, {}, &error);
+  EXPECT_NE(router, nullptr) << error;
+  router->Start();
   serve::ServerOptions options;
   options.port = 0;
   // Generous, so that only the injected clock skew expires a request.
   options.deadline_ms = 5000;
   options.degraded_fallback = true;
-  serve::Server server(service.get(), options);
+  serve::Server server(router.get(), options);
   EXPECT_TRUE(server.Start(&error)) << error;
 
   std::vector<std::string> bodies;
@@ -164,9 +166,8 @@ std::vector<std::string> Replay() {
                                response->body
                          : std::string("no response"));
   }
-  // Stop joins the linker thread before the points are disarmed:
-  // disarming frees a point's state, which a firing thread reads.
   server.Stop();
+  router->Stop();
   fault::Registry::Global().DisarmAll();
   return bodies;
 }

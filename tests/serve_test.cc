@@ -2,9 +2,10 @@
 // port, exercised over real sockets with the HttpClient. Covers the
 // happy path, batching, error mapping (400/404/405/413), admission
 // control (429 + Retry-After), concurrent access (the thread-safety
-// contract of core/incremental.h is enforced by the server's single
-// linker thread — asserted here by consistency under concurrency) and
-// the graceful drain.
+// contract of core/incremental.h is enforced by the shard's single
+// worker thread — asserted here by consistency under concurrency) and
+// the graceful drain. The server runs the default pipeline: one shard
+// behind the router.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "serve/json_writer.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "shard/router.h"
 
 namespace skyex {
 namespace {
@@ -58,23 +60,25 @@ const Trained& TrainOnce() {
 }
 
 struct TestServer {
-  std::unique_ptr<serve::LinkService> service;
+  std::unique_ptr<shard::Router> router;
   std::unique_ptr<serve::Server> server;
 
   uint16_t port() const { return server->port(); }
 };
 
-TestServer StartServer(serve::ServerOptions options = {}) {
+TestServer StartServer(serve::ServerOptions options = {},
+                       shard::RouterOptions pipeline = {}) {
   const Trained& trained = TrainOnce();
   auto model = core::LoadModel(trained.model_text);
   EXPECT_TRUE(model.has_value());
   std::string error;
   TestServer ts;
-  ts.service = serve::BootstrapLinkService(
-      trained.dataset, std::move(*model), {}, &error);
-  EXPECT_NE(ts.service, nullptr) << error;
+  ts.router = shard::BootstrapRouter(trained.dataset, std::move(*model), {},
+                                     1, pipeline, &error);
+  EXPECT_NE(ts.router, nullptr) << error;
+  ts.router->Start();
   options.port = 0;  // ephemeral
-  ts.server = std::make_unique<serve::Server>(ts.service.get(), options);
+  ts.server = std::make_unique<serve::Server>(ts.router.get(), options);
   EXPECT_TRUE(ts.server->Start(&error)) << error;
   return ts;
 }
@@ -126,7 +130,7 @@ std::string Header(const serve::HttpResponse& response,
 
 TEST(ServeTest, LinkHappyPath) {
   TestServer ts = StartServer();
-  const size_t initial = ts.service->record_count();
+  const size_t initial = ts.router->record_count();
   serve::HttpClient client("127.0.0.1", ts.port());
   ASSERT_TRUE(client.ok());
 
@@ -149,12 +153,12 @@ TEST(ServeTest, LinkHappyPath) {
   ASSERT_NE(merged, nullptr);
   ASSERT_TRUE(merged->is_object());
   EXPECT_NE(merged->Find("name"), nullptr);
-  EXPECT_EQ(ts.service->record_count(), initial + 1);
+  EXPECT_EQ(ts.router->record_count(), initial + 1);
 }
 
 TEST(ServeTest, LinkBatchPreservesOrder) {
   TestServer ts = StartServer();
-  const size_t initial = ts.service->record_count();
+  const size_t initial = ts.router->record_count();
   serve::HttpClient client("127.0.0.1", ts.port());
   const std::vector<data::SpatialEntity> entities = {
       DuplicateEntity(910001), DuplicateEntity(910002),
@@ -175,7 +179,7 @@ TEST(ServeTest, LinkBatchPreservesOrder) {
     ASSERT_NE(record_index, nullptr);
     EXPECT_EQ(static_cast<size_t>(record_index->number_v), initial + i);
   }
-  EXPECT_EQ(ts.service->record_count(), initial + entities.size());
+  EXPECT_EQ(ts.router->record_count(), initial + entities.size());
 }
 
 TEST(ServeTest, ErrorMapping) {
@@ -270,7 +274,7 @@ TEST(ServeTest, HealthzMetricsAndModel) {
   EXPECT_EQ(health_json->Find("status")->string_v, "ok");
   ASSERT_NE(health_json->Find("records"), nullptr);
   EXPECT_EQ(static_cast<size_t>(health_json->Find("records")->number_v),
-            ts.service->record_count());
+            ts.router->record_count());
 
   const auto metrics = client.Request("GET", "/metrics");
   ASSERT_TRUE(metrics.has_value());
@@ -294,13 +298,14 @@ TEST(ServeTest, HealthzMetricsAndModel) {
 TEST(ServeTest, QueueOverflowGets429WithRetryAfter) {
   serve::ServerOptions options;
   options.workers = 8;
-  options.queue_depth = 1;
+  shard::RouterOptions pipeline;
+  pipeline.node.queue_capacity = 1;
   // The linker lingers the full window waiting for a second job that can
   // never be admitted (capacity 1), so the queue stays full and every
   // concurrent push sheds deterministically.
-  options.batch_window_us = 200000;
-  options.max_batch = 2;
-  TestServer ts = StartServer(options);
+  pipeline.node.batch_window_us = 200000;
+  pipeline.node.max_batch = 2;
+  TestServer ts = StartServer(options, pipeline);
 
   constexpr size_t kClients = 8;
   std::atomic<size_t> ok{0};
@@ -338,9 +343,10 @@ TEST(ServeTest, QueueOverflowGets429WithRetryAfter) {
 TEST(ServeTest, ConcurrentLinksAreSerialized) {
   serve::ServerOptions options;
   options.workers = 8;
-  options.batch_window_us = 2000;
-  TestServer ts = StartServer(options);
-  const size_t initial = ts.service->record_count();
+  shard::RouterOptions pipeline;
+  pipeline.node.batch_window_us = 2000;
+  TestServer ts = StartServer(options, pipeline);
+  const size_t initial = ts.router->record_count();
 
   constexpr size_t kThreads = 6;
   constexpr size_t kRequests = 5;
@@ -373,7 +379,7 @@ TEST(ServeTest, ConcurrentLinksAreSerialized) {
   EXPECT_EQ(unique.size(), kThreads * kRequests);
   EXPECT_EQ(*unique.begin(), initial);
   EXPECT_EQ(*unique.rbegin(), initial + kThreads * kRequests - 1);
-  EXPECT_EQ(ts.service->record_count(), initial + kThreads * kRequests);
+  EXPECT_EQ(ts.router->record_count(), initial + kThreads * kRequests);
 }
 
 // Stop() must complete every admitted request before tearing down: no
@@ -381,8 +387,9 @@ TEST(ServeTest, ConcurrentLinksAreSerialized) {
 TEST(ServeTest, GracefulDrainCompletesInFlightRequests) {
   serve::ServerOptions options;
   options.workers = 6;  // one per client: all requests admitted at once
-  options.batch_window_us = 50000;  // hold jobs so Stop() races real work
-  TestServer ts = StartServer(options);
+  shard::RouterOptions pipeline;
+  pipeline.node.batch_window_us = 50000;  // hold jobs so Stop() races work
+  TestServer ts = StartServer(options, pipeline);
 
   constexpr size_t kClients = 6;
   std::atomic<size_t> ok{0};

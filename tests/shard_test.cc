@@ -1,7 +1,8 @@
 // Tests of the spatially sharded serving subsystem (src/shard/):
-// shard-map partition/ownership/scatter invariants, the --shards=1
-// byte-identity guarantee against the unsharded server, global record
-// indexing across appends, and fault-injected graceful degradation.
+// shard-map partition/ownership/scatter invariants, four shards finding
+// the links one shard finds, global record indexing across appends, and
+// fault-injected graceful degradation. ServeGoldenTest pins the
+// one-shard responses byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -162,27 +163,11 @@ TEST(ShardMapTest, MoreShardsThanLeavesLeavesNoShardInvalid) {
 // Served differential tests
 
 struct TestDeployment {
-  std::unique_ptr<serve::LinkService> service;  // unsharded mode
-  std::unique_ptr<shard::Router> router;        // sharded mode
+  std::unique_ptr<shard::Router> router;
   std::unique_ptr<serve::Server> server;
 
   uint16_t port() const { return server->port(); }
 };
-
-TestDeployment StartUnsharded(serve::ServerOptions options = {}) {
-  const Trained& trained = TrainOnce();
-  auto model = core::LoadModel(trained.model_text);
-  EXPECT_TRUE(model.has_value());
-  std::string error;
-  TestDeployment d;
-  d.service = serve::BootstrapLinkService(trained.dataset, std::move(*model),
-                                          {}, &error);
-  EXPECT_NE(d.service, nullptr) << error;
-  options.port = 0;
-  d.server = std::make_unique<serve::Server>(d.service.get(), options);
-  EXPECT_TRUE(d.server->Start(&error)) << error;
-  return d;
-}
 
 TestDeployment StartSharded(size_t shards,
                             serve::ServerOptions options = {},
@@ -242,59 +227,13 @@ std::string BatchBody(const std::vector<data::SpatialEntity>& entities) {
   return writer.Take();
 }
 
-// The --shards=1 acceptance gate: one shard behind the router must
-// produce byte-identical /v1/link and /v1/link_batch responses to the
-// unsharded server for the same request sequence (ids pinned via
-// X-Request-Id so the echoed request_id member matches too).
-TEST(ShardServeTest, SingleShardIsByteIdenticalToUnsharded) {
-  TestDeployment unsharded = StartUnsharded();
-  TestDeployment sharded = StartSharded(1);
-  serve::HttpClient a("127.0.0.1", unsharded.port());
-  serve::HttpClient b("127.0.0.1", sharded.port());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-
-  const std::vector<std::pair<std::string, std::string>> requests = {
-      {"/v1/link", LinkBody(DuplicateEntity(900001))},
-      {"/v1/link", LinkBody(DuplicateEntity(900002, 3))},
-      // Links to dataset records AND to the two just-appended entities:
-      // covers global indexing of appends on both sides.
-      {"/v1/link", LinkBody(DuplicateEntity(900003))},
-      {"/v1/link_batch", BatchBody({DuplicateEntity(900004, 1),
-                                    DuplicateEntity(900005, 2)})},
-      {"/v1/link", LinkBody([] {
-         data::SpatialEntity e = DuplicateEntity(900006, 4);
-         e.location = geo::GeoPoint::Invalid();  // cartesian fallback
-         return e;
-       }())},
-  };
-  int request_number = 0;
-  for (const auto& [path, body] : requests) {
-    ++request_number;
-    const std::string rid = "deadbeef000000" +
-                            std::to_string(10 + request_number);
-    const auto ra = a.Request("POST", path, body, "application/json",
-                              {{"X-Request-Id", rid}});
-    const auto rb = b.Request("POST", path, body, "application/json",
-                              {{"X-Request-Id", rid}});
-    ASSERT_TRUE(ra.has_value());
-    ASSERT_TRUE(rb.has_value());
-    EXPECT_EQ(ra->status, 200) << path;
-    EXPECT_EQ(rb->status, 200) << path;
-    EXPECT_EQ(ra->body, rb->body)
-        << "request " << request_number << " (" << path
-        << ") diverged between unsharded and --shards=1";
-  }
-  EXPECT_EQ(unsharded.service->record_count(), sharded.router->record_count());
-}
-
-// Multiple shards must find the same links (the partition only prunes
-// provably out-of-radius shards), rank them identically, and merge the
-// same golden record.
-TEST(ShardServeTest, FourShardsFindTheSameLinksAsUnsharded) {
-  TestDeployment unsharded = StartUnsharded();
+// Multiple shards must find the same links as one (the partition only
+// prunes provably out-of-radius shards), rank them identically, and
+// merge the same golden record.
+TEST(ShardServeTest, FourShardsFindTheSameLinksAsOneShard) {
+  TestDeployment one = StartSharded(1);
   TestDeployment sharded = StartSharded(4);
-  serve::HttpClient a("127.0.0.1", unsharded.port());
+  serve::HttpClient a("127.0.0.1", one.port());
   serve::HttpClient b("127.0.0.1", sharded.port());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -394,7 +333,7 @@ TEST(ShardServeTest, AppendsAreMatchableAcrossRequests) {
 
 TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   TestDeployment sharded = StartSharded(4);
-  TestDeployment unsharded = StartUnsharded();
+  TestDeployment one = StartSharded(1);
   serve::HttpClient client("127.0.0.1", sharded.port());
   ASSERT_TRUE(client.ok());
 
@@ -409,9 +348,9 @@ TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   EXPECT_EQ(health_json->Find("records")->number_v,
             static_cast<double>(TrainOnce().dataset.size()));
 
-  // Same calibration -> same served model text as the unsharded server.
+  // Same calibration -> same served model text as one shard serves.
   const auto model = client.Request("GET", "/model");
-  serve::HttpClient uclient("127.0.0.1", unsharded.port());
+  serve::HttpClient uclient("127.0.0.1", one.port());
   const auto umodel = uclient.Request("GET", "/model");
   ASSERT_TRUE(model.has_value());
   ASSERT_TRUE(umodel.has_value());

@@ -14,7 +14,7 @@
 #   deadlines. The loadgen runs with --fail-on-error-rate: >= 99% of
 #   outcomes must stay valid, at least one response must be degraded
 #   (partial results, "degraded":true), and /debug/flight must carry
-#   the shard_wedged evidence. SIGTERM under the armed schedule must
+#   the watchdog_trip evidence. SIGTERM under the armed schedule must
 #   still drain cleanly with zero server errors.
 #
 # Invoked as:
@@ -227,8 +227,8 @@ message(STATUS "shard_suite: ${CMAKE_MATCH_1} degraded responses under fire")
 # Per-shard breaker/watchdog evidence on the debug surfaces.
 scrape_endpoint(${port} "/debug/flight" "${WORK_DIR}/flight.http")
 file(READ "${WORK_DIR}/flight.http" flight)
-if(NOT flight MATCHES "shard_wedged")
-  shard_fail("no shard_wedged event on /debug/flight; see flight.http")
+if(NOT flight MATCHES "watchdog_trip")
+  shard_fail("no watchdog_trip event on /debug/flight; see flight.http")
 endif()
 
 scrape_endpoint(${port} "/metrics" "${WORK_DIR}/metrics_chaos.http")

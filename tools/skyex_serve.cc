@@ -1,15 +1,16 @@
 // skyex_serve — online spatial-linkage service.
 //
-//   skyex_serve --model=model.txt --dataset=entities.csv --port=8080 \
+//   skyex_serve --model=model.txt --dataset=entities.csv --port=8080
 //               --workers=8 --queue-depth=128 --batch-window-us=1000
 //
 // Loads a trained SkyEx-T model (core/model_io v2) and a dataset,
-// calibrates an incremental linker on the pairs the model accepts, and
-// serves linkage queries over HTTP/1.1 (see src/serve/server.h for the
-// endpoints). SIGTERM/SIGINT drain gracefully: requests already in
-// flight receive their responses before the process exits. SIGUSR2
-// dumps the flight recorder (recent request timelines, top-K slowest,
-// marker events) to stderr and keeps serving.
+// calibrates an incremental linker on the pairs the model accepts,
+// partitions it over --shards linkers behind the scatter-gather router
+// (one by default), and serves linkage queries over HTTP/1.1 (see
+// src/serve/server.h for the endpoints). SIGTERM/SIGINT drain
+// gracefully: requests already in flight receive their responses before
+// the process exits. SIGUSR2 dumps the flight recorder (recent request
+// timelines, top-K slowest, marker events) to stderr and keeps serving.
 //
 // Observability: all the usual flags (--trace-out, --metrics-out,
 // --log-level, --obs-summary); artifacts are written after the drain.
@@ -21,7 +22,6 @@
 #include <atomic>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/model_io.h"
@@ -34,7 +34,6 @@
 #include "prof/prof.h"
 #include "quality/quality.h"
 #include "serve/server.h"
-#include "serve/service.h"
 #include "shard/router.h"
 #include "text/similarity_registry.h"
 
@@ -50,11 +49,11 @@ int Usage() {
       "  --port=N               listen port (default 8080; 0 = ephemeral)\n"
       "  --port-file=FILE       write the bound port (for scripts)\n"
       "  --workers=N            I/O worker threads (default 8)\n"
-      "  --queue-depth=N        link admission queue depth (default 128;\n"
+      "  --queue-depth=N        per-shard link queue depth (default 128;\n"
       "                         overflow answers 429 + Retry-After)\n"
       "  --batch-window-us=N    micro-batch coalescing window (default\n"
       "                         1000)\n"
-      "  --max-batch=N          link jobs per linker wakeup (default 64)\n"
+      "  --max-batch=N          link jobs per shard wakeup (default 64)\n"
       "  --max-body-bytes=N     request body cap (default 1048576)\n"
       "  --radius-m=R           candidate radius meters (default 200)\n"
       "  --calibration-percentile=Q  acceptance boundary quantile\n"
@@ -71,12 +70,12 @@ int Usage() {
       "                         similarity kernels (bench baseline;\n"
       "                         see docs/performance.md)\n"
       "  --shards=N             geo-partitioned serving: N linkers\n"
-      "                         behind a scatter-gather router (default\n"
-      "                         0 = single linker; docs/serving.md)\n\n"
+      "                         behind the scatter-gather router (default\n"
+      "                         1; 0 clamps to 1; docs/serving.md)\n\n"
       "resilience (docs/robustness.md):\n"
       "  --deadline-ms=N        per-request link deadline (default 0 =\n"
       "                         off; expiry answers degraded or 503)\n"
-      "  --watchdog-ms=N        wedged-linker threshold (default 0 = off)\n"
+      "  --watchdog-ms=N        wedged-shard threshold (default 0 = off)\n"
       "  --no-degraded          disable the degraded fallback path\n"
       "  --breaker-window=N     breaker outcome window (default 64)\n"
       "  --breaker-threshold=F  failure rate that opens it (default 0.5)\n"
@@ -227,67 +226,45 @@ int main(int argc, char** argv) {
   skyex::serve::ServerOptions options;
   options.port = static_cast<uint16_t>(flags->GetSize("port", 8080));
   options.workers = flags->GetSize("workers", 8);
-  options.queue_depth = flags->GetSize("queue-depth", 128);
-  options.batch_window_us =
-      static_cast<uint32_t>(flags->GetSize("batch-window-us", 1000));
-  options.max_batch = flags->GetSize("max-batch", 64);
   options.max_body_bytes = flags->GetSize("max-body-bytes", 1 << 20);
   options.deadline_ms =
       static_cast<int>(flags->GetSize("deadline-ms", 0));
-  options.watchdog_ms =
-      static_cast<int>(flags->GetSize("watchdog-ms", 0));
   // Always-on sampling by default in the serving binary; unit tests
   // and embedders leave ServerOptions.profile_hz at 0.
   options.profile_hz = static_cast<int>(flags->GetSize(
       "profile-hz", skyex::prof::CpuProfiler::kDefaultHz));
   options.degraded_fallback = !flags->Has("no-degraded");
-  options.breaker.window = flags->GetSize("breaker-window", 64);
-  options.breaker.failure_threshold =
+  skyex::shard::RouterOptions router_options;
+  router_options.node.queue_capacity = flags->GetSize("queue-depth", 128);
+  router_options.node.batch_window_us =
+      static_cast<int>(flags->GetSize("batch-window-us", 1000));
+  router_options.node.max_batch = flags->GetSize("max-batch", 64);
+  router_options.node.breaker.window = flags->GetSize("breaker-window", 64);
+  router_options.node.breaker.failure_threshold =
       flags->GetDouble("breaker-threshold", 0.5);
-  options.breaker.open_ms =
+  router_options.node.breaker.open_ms =
       static_cast<int>(flags->GetSize("breaker-open-ms", 1000));
-  options.breaker.max_retry_after_s =
+  router_options.node.breaker.max_retry_after_s =
       static_cast<int>(flags->GetSize("max-retry-after-s", 4));
+  router_options.watchdog_ms =
+      static_cast<int>(flags->GetSize("watchdog-ms", 0));
 
   // Model text for the quality runtime: the same model_io text the
   // trainer hashed when it wrote the reference profile.
   const std::string model_text = skyex::core::SaveModel(*model);
 
-  const size_t shards = flags->GetSize("shards", 0);
   std::string error;
   std::fprintf(stderr, "skyex_serve: calibrating on %zu records...\n",
                dataset.size());
-  std::unique_ptr<skyex::serve::LinkService> service;
-  std::unique_ptr<skyex::shard::Router> router;
-  std::optional<skyex::serve::Server> server;
-  if (shards > 0) {
-    // Sharded mode: per-shard micro-batching replaces the global link
-    // queue, so the server-level queue/batch/breaker/watchdog knobs
-    // move down into each shard node.
-    skyex::shard::RouterOptions router_options;
-    router_options.node.queue_capacity = options.queue_depth;
-    router_options.node.batch_window_us = options.batch_window_us;
-    router_options.node.max_batch = options.max_batch;
-    router_options.node.breaker = options.breaker;
-    router_options.watchdog_ms = options.watchdog_ms;
-    router = skyex::shard::BootstrapRouter(std::move(dataset),
-                                           std::move(*model), linker_options,
-                                           shards, router_options, &error);
-    if (router == nullptr) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    router->Start();
-    server.emplace(router.get(), options);
-  } else {
-    service = skyex::serve::BootstrapLinkService(
-        std::move(dataset), std::move(*model), linker_options, &error);
-    if (service == nullptr) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    server.emplace(service.get(), options);
+  std::unique_ptr<skyex::shard::Router> router = skyex::shard::BootstrapRouter(
+      std::move(dataset), std::move(*model), linker_options,
+      flags->GetSize("shards", 1), router_options, &error);
+  if (router == nullptr) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
   }
+  router->Start();
+  skyex::serve::Server server(router.get(), options);
   // Linkage-quality observability: explicit flags always win; otherwise
   // a MODEL.profile written by `skyex train` is picked up automatically
   // (suppressed by --no-quality).
@@ -335,22 +312,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!server->Start(&error)) {
+  if (!server.Start(&error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
   std::fprintf(stderr,
                "skyex_serve: listening on port %u (records=%zu, "
                "workers=%zu, queue-depth=%zu, shards=%zu)\n",
-               server->port(),
-               router != nullptr ? router->record_count()
-                                 : service->record_count(),
-               options.workers, options.queue_depth,
-               router != nullptr ? router->num_shards() : size_t{0});
+               server.port(), router->record_count(), options.workers,
+               router_options.node.queue_capacity, router->num_shards());
   const std::string port_file = flags->Get("port-file");
   if (!port_file.empty()) {
     std::ofstream out(port_file);
-    out << server->port() << "\n";
+    out << server.port() << "\n";
     if (!out.flush()) {
       std::fprintf(stderr, "error: cannot write %s\n", port_file.c_str());
       return 1;
@@ -377,9 +351,9 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "skyex_serve: draining...\n");
-  server->Stop();
-  if (router != nullptr) router->Stop();
-  const auto stats = server->stats();
+  server.Stop();
+  router->Stop();
+  const auto stats = server.stats();
   std::fprintf(stderr,
                "skyex_serve: shutdown complete — %llu requests on %llu "
                "connections (%llu ok, %llu client errors, %llu rejected "
