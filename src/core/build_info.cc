@@ -1,10 +1,8 @@
 #include "core/build_info.h"
 
+#include "skyex_git_sha.h"  // generated at build time by core/git_sha.cmake
 #include "text/simd.h"
 
-#ifndef SKYEX_GIT_SHA
-#define SKYEX_GIT_SHA "unknown"
-#endif
 #ifndef SKYEX_BUILD_TYPE
 #define SKYEX_BUILD_TYPE "unknown"
 #endif

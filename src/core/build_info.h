@@ -7,10 +7,11 @@
 // level active on this machine. Served as GET /buildz by skyex_serve
 // and printed by `--version` on every tool.
 //
-// The git sha is captured at CMake configure time (src/CMakeLists.txt
-// passes it into build_info.cc only); "unknown" when the tree is not a
-// git checkout. An incremental rebuild without re-configuring keeps the
-// configure-time sha.
+// The git sha is read at every build (src/core/git_sha.cmake writes it
+// into a generated header that changes only with the sha, so a new
+// commit recompiles build_info.cc alone); "unknown" when the tree is not
+// a git checkout. A reused build tree reports the commit it was last
+// built at.
 
 #include <string>
 #include <string_view>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,7 +41,22 @@ IncrementalLinker::IncrementalLinker(data::Dataset dataset,
       model_.preference ? skyline::Compile(*model_.preference)
                         : std::nullopt;
   if (!compiled.has_value()) return;
+  // Candidates are scored on the columns the preference reads: the plan
+  // computes those, and compiled_ reads each from its plan slot. Every
+  // column is bit-identical to the full row's, and the terms keep their
+  // order, so every key is too.
+  std::string error;
+  const std::optional<ProjectedModel> projected =
+      ProjectModel(model_, extractor_.feature_count(), &error);
+  if (!projected.has_value()) throw std::invalid_argument(error);
+  plan_ = extractor_.PlanColumns(projected->columns);
   compiled_ = *compiled;
+  for (std::vector<skyline::CompiledPreference::Term>& group :
+       compiled_.groups) {
+    for (skyline::CompiledPreference::Term& term : group) {
+      term.feature = plan_.slot[term.feature];
+    }
+  }
 
   // Calibrate the acceptance threshold from the accepted (positively
   // labeled) calibration pairs: a low quantile of their group-sum keys
@@ -51,14 +67,12 @@ IncrementalLinker::IncrementalLinker(data::Dataset dataset,
   // The calibration matrix may hold every LGM-X column or only the ones
   // the preference reads (the serving bootstrap extracts just those), so
   // each term finds its column by name.
-  skyline::CompiledPreference calibration = compiled_;
+  skyline::CompiledPreference calibration = *compiled;
   for (std::vector<skyline::CompiledPreference::Term>& group :
        calibration.groups) {
     for (skyline::CompiledPreference::Term& term : group) {
       const int column =
-          term.feature < extractor_.feature_count()
-              ? matrix.ColumnIndex(extractor_.feature_names()[term.feature])
-              : -1;
+          matrix.ColumnIndex(extractor_.feature_names()[term.feature]);
       if (column < 0) {
         throw std::invalid_argument(
             "calibration matrix lacks feature " +
@@ -144,12 +158,14 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
     const data::SpatialEntity& record, obs::LinkStats* stats,
     quality::MatchCapture* capture) const {
   SKYEX_SPAN("core/incremental_add");
-  if (capture != nullptr) capture->threshold_key = threshold_key_;
+  const bool audit = capture != nullptr && capture->audit;
+  const uint64_t drift_every = capture != nullptr ? capture->drift_every : 0;
+  if (audit) capture->threshold_key = threshold_key_;
   const TextEntry record_entry = ComputeTextEntry(record);
   std::vector<size_t> candidates;
   std::vector<std::shared_ptr<const TextEntry>> entries;
-  // Sketch estimates of the surviving candidates, kept only while
-  // capturing (the audit record logs the prefilter verdict with its
+  // Sketch estimates of the surviving candidates, kept only for an audit
+  // capture (the audit record logs the prefilter verdict with its
   // estimate for scored candidates too).
   std::vector<double> kept_estimates;
   {
@@ -190,17 +206,17 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
       entries.push_back(GetTextEntry(i, &lru_hits, &lru_misses));
     }
     size_t dropped = 0;
-    // With capture on, estimates are computed even when the filter is
-    // disabled (threshold 0) so every decision logs one; nothing is
+    // With an audit capture, estimates are computed even when the filter
+    // is disabled (threshold 0) so every decision logs one; nothing is
     // dropped in that case, so the match set is unchanged.
-    if (options_.prefilter_threshold > 0.0 || capture != nullptr) {
+    if (options_.prefilter_threshold > 0.0 || audit) {
       size_t kept = 0;
       for (size_t k = 0; k < candidates.size(); ++k) {
         const double estimate =
             features::EstimatePair(record_entry.sketch, entries[k]->sketch);
         const bool pass = options_.prefilter_threshold <= 0.0 ||
                           estimate >= options_.prefilter_threshold;
-        if (capture != nullptr && !pass) {
+        if (audit && !pass) {
           quality::CandidateDecision decision;
           decision.candidate_id = dataset_[candidates[k]].id;
           decision.candidate_index = static_cast<uint32_t>(candidates[k]);
@@ -211,7 +227,7 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
         if (pass) {
           candidates[kept] = candidates[k];
           entries[kept] = std::move(entries[k]);
-          if (capture != nullptr) kept_estimates.push_back(estimate);
+          if (audit) kept_estimates.push_back(estimate);
           ++kept;
         }
       }
@@ -229,12 +245,18 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
     }
   }
 
-  // Each chunk scores its candidates and returns its links plus, when
-  // capturing, its decisions; concatenating the chunks in order keeps
-  // both in candidate order, so links come out ascending.
+  // Each chunk scores its candidates on the plan and returns its links
+  // plus the decisions the capture keeps, each with its full row;
+  // concatenating the chunks in order keeps both in candidate order, so
+  // links come out ascending. Scored row k is drift row drift_base + k,
+  // so the rows drift observes do not depend on the chunking.
   struct Scored {
     std::vector<ScoredMatch> links;
     std::vector<quality::CandidateDecision> decisions;
+  };
+  const uint64_t drift_base = drift_rows_;
+  const auto observed = [&](size_t k) {
+    return drift_every > 0 && (drift_base + k) % drift_every == 0;
   };
   std::vector<ScoredMatch> links;
   {
@@ -250,27 +272,29 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
         0, candidates.size(), for_options,
         [&](size_t begin, size_t end) {
           Scored local;
-          std::vector<double> row(extractor_.feature_count());
+          std::vector<double> row(plan_.width());
           std::vector<double> key(compiled_.KeySize());
           for (size_t k = begin; k < end; ++k) {
             const size_t i = candidates[k];
             extractor_.RowFromCache(record, record_entry.text, dataset_[i],
-                                    entries[k]->text, row.data());
+                                    entries[k]->text, plan_, row.data());
             double score = 0.0;
             const bool accepted = Accept(row.data(), key.data(), &score);
-            if (capture != nullptr) {
-              quality::CandidateDecision decision;
-              decision.candidate_id = dataset_[i].id;
-              decision.candidate_index = static_cast<uint32_t>(i);
-              decision.prefilter_pass = true;
-              decision.scored = true;
-              decision.accepted = accepted;
-              decision.prefilter_estimate = kept_estimates[k];
-              decision.score = score;
-              decision.features.assign(row.begin(), row.end());
-              local.decisions.push_back(std::move(decision));
-            }
             if (accepted) local.links.push_back({i, score});
+            if (!audit && !observed(k)) continue;
+            quality::CandidateDecision decision;
+            decision.candidate_id = dataset_[i].id;
+            decision.candidate_index = static_cast<uint32_t>(i);
+            decision.prefilter_pass = true;
+            decision.scored = true;
+            decision.accepted = accepted;
+            if (audit) decision.prefilter_estimate = kept_estimates[k];
+            decision.score = score;
+            decision.features.resize(extractor_.feature_count());
+            extractor_.RowFromCache(record, record_entry.text, dataset_[i],
+                                    entries[k]->text,
+                                    decision.features.data());
+            local.decisions.push_back(std::move(decision));
           }
           return local;
         },
@@ -283,12 +307,22 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
           return acc;
         },
         Scored());
+    SKYEX_COUNTER_ADD("core/incremental_full_rows", scored.decisions.size());
     if (capture != nullptr) {
+      // An audit capture keeps every scored row, so its decision j is
+      // scored row j; a drift-only one keeps the observed rows alone.
+      const size_t offset = capture->decisions.size();
+      for (size_t j = 0; j < scored.decisions.size(); ++j) {
+        if (!audit || observed(j)) {
+          capture->observed.push_back(static_cast<uint32_t>(offset + j));
+        }
+      }
       capture->decisions.insert(
           capture->decisions.end(),
           std::make_move_iterator(scored.decisions.begin()),
           std::make_move_iterator(scored.decisions.end()));
     }
+    if (drift_every > 0) drift_rows_ += candidates.size();
     links = std::move(scored.links);
   }
   return links;

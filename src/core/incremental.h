@@ -26,6 +26,9 @@ namespace skyex::core {
 /// construction: per priority group, the `calibration_percentile`
 /// quantile of the keys of the calibration pairs the model labels
 /// positive (the serving bootstrap labels the store's blocked pairs).
+/// Candidates are scored on the LGM-X columns the model's preference
+/// reads (core::ProjectModel), not on all 88; a full row is extracted
+/// only for a candidate a quality::MatchCapture keeps.
 struct IncrementalLinkerOptions {
   /// Candidate radius around the new record. It also sets the cell edge
   /// of the linker's candidate index (geo::RadiusGrid).
@@ -77,7 +80,8 @@ class IncrementalLinker {
   /// `matrix` the model labels positive; their group-sum keys calibrate
   /// the acceptance boundary. `matrix` may hold every LGM-X column or
   /// only those the preference reads: each preference term finds its
-  /// column by name (std::invalid_argument when one is missing).
+  /// column by name (std::invalid_argument when one is missing, or when
+  /// the preference reads a feature outside the extractor's schema).
   IncrementalLinker(data::Dataset dataset,
                     features::LgmXExtractor extractor, SkyExTModel model,
                     const ml::FeatureMatrix& matrix,
@@ -100,16 +104,21 @@ class IncrementalLinker {
   /// `stats` (optional) is added to, never reset, so one record can sum
   /// a batch: `extract_us` gets the candidate lookup plus the prefilter,
   /// `prefilter_us` the text-state lookup + sketch prefilter alone,
-  /// `rank_us` the LGM-X scoring + skyline-key acceptance, plus the
-  /// candidate, prefilter-drop and text-cache counts.
+  /// `rank_us` the LGM-X scoring + skyline-key acceptance (and the full
+  /// rows a capture keeps), plus the candidate, prefilter-drop and
+  /// text-cache counts.
   ///
-  /// `capture` (optional) receives the full decision trail for the
-  /// audit log: the calibrated threshold key plus one entry per
-  /// candidate (prefilter verdict, and for survivors the feature row,
-  /// score and accept/reject), dropped candidates first, then the scored
-  /// ones in candidate order. Capturing scores on the same path as the
-  /// uncaptured call, so the match set and every score are bit-identical
-  /// to it (scoring is per-pair deterministic), which is what lets
+  /// `capture` (optional) receives what it asks for (see
+  /// quality::MatchCapture). An audit capture gets the full decision
+  /// trail: the calibrated threshold key plus one entry per candidate
+  /// (prefilter verdict, and for survivors the full feature row, score
+  /// and accept/reject), dropped candidates first, then the scored ones
+  /// in candidate order. A capture with drift_every > 0 numbers the
+  /// scored rows on this linker's count and marks the ones drift
+  /// observes; without audit, only those become decisions. Every
+  /// candidate is scored on the same plan row whatever is captured, and
+  /// kept rows are extracted in full besides, so the match set and every
+  /// score are bit-identical to the uncaptured call, which is what lets
   /// `skyex_audit replay` reproduce serving decisions exactly.
   std::vector<ScoredMatch> MatchRecord(
       const data::SpatialEntity& record, obs::LinkStats* stats = nullptr,
@@ -130,10 +139,11 @@ class IncrementalLinker {
     features::EntitySketch sketch;
   };
 
-  /// True when the row clears the calibrated boundary; `score` (when
-  /// non-null) receives the row's prioritized group sum regardless.
-  /// `key` is caller-owned scratch of compiled_.KeySize() doubles, so the
-  /// per-pair check does not allocate.
+  /// True when the plan row (plan_.width() doubles) clears the
+  /// calibrated boundary; `score` (when non-null) receives the row's
+  /// prioritized group sum regardless. `key` is caller-owned scratch of
+  /// compiled_.KeySize() doubles, so the per-pair check does not
+  /// allocate.
   bool Accept(const double* row, double* key, double* score = nullptr) const;
 
   static TextEntry ComputeTextEntry(const data::SpatialEntity& e);
@@ -151,6 +161,10 @@ class IncrementalLinker {
   features::LgmXExtractor extractor_;
   SkyExTModel model_;
   Options options_;
+  /// The columns the preference reads, in ascending schema order; every
+  /// candidate's score row is computed under it.
+  features::LgmXExtractor::ColumnPlan plan_;
+  /// The preference, each term reading its column's plan_ slot.
   skyline::CompiledPreference compiled_;
   /// Per priority group, the calibration_percentile quantile of the
   /// accepted calibration rows' group-sum keys: a new pair is linked
@@ -173,6 +187,11 @@ class IncrementalLinker {
       size_t,
       std::list<std::pair<size_t, std::shared_ptr<const TextEntry>>>::iterator>
       text_lru_index_;
+
+  /// Scored rows numbered so far by captures with drift_every > 0: row k
+  /// of such an attempt is row drift_rows_ + k. `mutable` and
+  /// unsynchronized like the LRU, under the same contract.
+  mutable uint64_t drift_rows_ = 0;
 };
 
 }  // namespace skyex::core

@@ -10,7 +10,8 @@
 // verdict, the full LGM-X feature vector and the model score — so
 // `skyex_audit replay` can reproduce scores and accept/reject verdicts
 // bit-identically from the log alone (docs/observability.md, "Linkage
-// quality").
+// quality"). The linker scores on the model's columns and extracts the
+// full 88-column row only for an attempt the log keeps.
 //
 // On-disk format (host-endian, self-describing):
 //
@@ -58,12 +59,29 @@ struct CandidateDecision {
   std::vector<double> features;
 };
 
-/// What IncrementalLinker::MatchRecord captures when asked: the
-/// calibrated threshold key in force (the "skyline cutoff") plus every
-/// candidate decision, dropped and scored alike.
+/// What IncrementalLinker::MatchRecord captures, and what the caller
+/// keeps of it. The linker scores every candidate on the columns the
+/// model reads; it extracts a full LGM-X row only for a decision kept
+/// here. A default-constructed capture is the full audit trail.
 struct MatchCapture {
+  /// Request. `audit` keeps the threshold key and every candidate
+  /// decision: prefilter drops with their estimate, scored candidates
+  /// with their full row, estimate, score and verdict. Off, `decisions`
+  /// holds only the rows the drift detector observes.
+  bool audit = true;
+  /// Drift row decimation, 0 for none: the linker numbers the scored
+  /// rows of every attempt captured with drift_every > 0 (its own count,
+  /// in candidate order) and the detector observes row n when
+  /// n % drift_every == 0 (quality::DriftOptions::row_sample_every).
+  uint64_t drift_every = 0;
+
+  /// Result. The threshold key is the calibrated one in force (the
+  /// "skyline cutoff"); `observed` lists the positions in `decisions` of
+  /// the rows the drift detector observes, ascending. Only
+  /// `threshold_key` and `decisions` go into the audit log.
   std::vector<double> threshold_key;
   std::vector<CandidateDecision> decisions;
+  std::vector<uint32_t> observed;
 };
 
 /// One audit-log record: a full link decision for one incoming entity.

@@ -8,7 +8,6 @@ DriftDetector::DriftDetector(ReferenceProfile profile, DriftOptions options)
     : profile_(std::move(profile)), options_(options) {
   if (options_.window == 0) options_.window = 1;
   if (options_.entity_window == 0) options_.entity_window = 1;
-  if (options_.row_sample_every == 0) options_.row_sample_every = 1;
   feature_window_.reserve(profile_.features.size());
   for (const ProfileHistogram& hist : profile_.features) {
     feature_window_.push_back(hist.EmptyClone());
@@ -32,13 +31,6 @@ void DriftDetector::ObserveEntity(const data::SpatialEntity& entity) {
 
 void DriftDetector::ObserveRow(const double* row, size_t n, double score) {
   if (n != feature_window_.size()) return;
-  // Decimate: one request contributes a burst of rows that all share the
-  // incoming entity, so consecutive rows are heavily correlated and a
-  // window filled from a handful of requests compares a few entities'
-  // candidate neighborhoods — not the traffic distribution — against
-  // the profile (PSI blows up on calm traffic). Taking every Nth row
-  // spreads a window across ~N× more requests at no extra cost.
-  if (rows_seen_++ % options_.row_sample_every != 0) return;
   for (size_t c = 0; c < n; ++c) feature_window_[c].Add(row[c]);
   score_window_.Add(score);
   ++rows_in_window_;

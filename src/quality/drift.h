@@ -4,11 +4,14 @@
 // Online drift detection against a train-time ReferenceProfile.
 // Observations accumulate into two independent sliding windows:
 //
-//   row window     — one observation per scored candidate pair: the
-//                    LGM-X feature vector and its model score. When
-//                    `window` rows complete, per-feature PSI and a
-//                    score-distribution KS statistic are evaluated and
-//                    the window restarts.
+//   row window     — one observation per observed candidate pair: the
+//                    full LGM-X feature vector and its model score.
+//                    The linker picks the pairs (1 scored row in
+//                    `row_sample_every`, numbered per linker) and
+//                    extracts full rows for those only; the detector
+//                    takes every row it is given. When `window` rows
+//                    complete, per-feature PSI and a score-distribution
+//                    KS statistic are evaluated and the window restarts.
 //   entity window  — one observation per incoming entity (lat, lon,
 //                    name length). Evaluated every `entity_window`
 //                    entities. Separate on purpose: traffic whose
@@ -37,7 +40,9 @@ struct DriftOptions {
   /// incoming entity), so an undecimated window spans only a handful of
   /// requests and its PSI is dominated by per-entity variance rather
   /// than traffic drift. The default spreads a window of 512 across
-  /// ~8k scored rows.
+  /// ~8k scored rows. Applied where rows are numbered, before scoring:
+  /// Runtime::ShouldCapture passes it to the linker as
+  /// MatchCapture::drift_every, and ObserveRow observes every row.
   size_t row_sample_every = 16;
   /// PSI past this (any feature, or any entity dimension) counts the
   /// evaluation as a drift trip. 0.25 is the conventional "major
@@ -54,8 +59,9 @@ class DriftDetector {
   /// One incoming entity (every request, sampled or not — it is cheap).
   void ObserveEntity(const data::SpatialEntity& entity);
 
-  /// One scored candidate pair: feature row + model score. `n` must be
-  /// the profile's feature count (mismatched rows are ignored).
+  /// One observed candidate pair: full feature row + model score. `n`
+  /// must be the profile's feature count (mismatched rows are ignored).
+  /// No decimation here: the caller passes only the rows it observes.
   void ObserveRow(const double* row, size_t n, double score);
 
   struct Stats {
@@ -91,7 +97,6 @@ class DriftDetector {
   ProfileHistogram lat_window_;
   ProfileHistogram lon_window_;
   ProfileHistogram name_len_window_;
-  uint64_t rows_seen_ = 0;  // pre-decimation, drives row_sample_every
   uint64_t rows_in_window_ = 0;
   uint64_t entities_in_window_ = 0;
 };

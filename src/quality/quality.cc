@@ -76,6 +76,9 @@ bool Runtime::Enable(const QualityOptions& options,
   }
   sample_every_ = options.audit.sample_every == 0 ? 1
                                                   : options.audit.sample_every;
+  row_sample_every_ = options.drift.row_sample_every == 0
+                          ? 1
+                          : options.drift.row_sample_every;
   attempts_.store(0, std::memory_order_relaxed);
   sampled_.store(0, std::memory_order_relaxed);
   drift_on_.store(has_detector, std::memory_order_release);
@@ -101,11 +104,15 @@ bool Runtime::drift_enabled() const {
   return drift_on_.load(std::memory_order_acquire);
 }
 
-bool Runtime::ShouldCapture() {
+bool Runtime::ShouldCapture(MatchCapture* request) {
   if (!enabled()) return false;
   const uint64_t n = attempts_.fetch_add(1, std::memory_order_relaxed);
   if (n % sample_every_ != 0) return false;
   sampled_.fetch_add(1, std::memory_order_relaxed);
+  if (request != nullptr) {
+    request->audit = writer_.open();
+    request->drift_every = drift_enabled() ? row_sample_every_ : 0;
+  }
   return true;
 }
 
@@ -133,17 +140,18 @@ void Runtime::ObserveEntity(const data::SpatialEntity& entity) {
 void Runtime::RecordCapture(const data::SpatialEntity& entity,
                             uint32_t shard_id, MatchCapture capture) {
   if (!enabled()) return;
-  if (drift_enabled()) {
+  if (!capture.observed.empty() && drift_enabled()) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (detector_ != nullptr) {
-      for (const CandidateDecision& d : capture.decisions) {
-        if (!d.scored) continue;
-        detector_->ObserveRow(d.features.data(), d.features.size(), d.score);
+      for (const uint32_t d : capture.observed) {
+        const CandidateDecision& row = capture.decisions[d];
+        detector_->ObserveRow(row.features.data(), row.features.size(),
+                              row.score);
       }
       MaybeEmitDriftMarker();
     }
   }
-  if (!writer_.open()) return;
+  if (!capture.audit || !writer_.open()) return;
   AuditRecord record;
   record.request_id = obs::CurrentContext().request_id;
   record.entity_id = entity.id;

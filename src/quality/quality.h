@@ -61,16 +61,21 @@ class Runtime {
   bool drift_enabled() const;
 
   /// Per-link-attempt capture decision (audit sampling). False whenever
-  /// nothing needs the capture, so the linker skips the serial capture
-  /// path entirely.
-  bool ShouldCapture();
+  /// nothing needs the capture, so the linker skips the capture path
+  /// entirely. On true, `request` (optional) is set to what this runtime
+  /// keeps of the attempt: the full audit trail when the audit log is
+  /// open, else only the drift rows (MatchCapture::audit), and the drift
+  /// detector's row decimation when drift is on (drift_every).
+  bool ShouldCapture(MatchCapture* request = nullptr);
 
   /// Entity-level drift observation — called for every incoming entity,
   /// sampled or not.
   void ObserveEntity(const data::SpatialEntity& entity);
 
-  /// A captured link decision: appends the audit record and feeds the
-  /// scored rows to the drift detector. `capture` is consumed.
+  /// A captured link decision: feeds the drift detector exactly the
+  /// rows the linker marked observed (no runtime lock when there are
+  /// none) and appends the audit record when the capture is an audit
+  /// one. `capture` is consumed.
   void RecordCapture(const data::SpatialEntity& entity, uint32_t shard_id,
                      MatchCapture capture);
 
@@ -124,6 +129,7 @@ class Runtime {
   std::atomic<uint64_t> attempts_{0};
   std::atomic<uint64_t> sampled_{0};
   uint64_t sample_every_ = 1;
+  uint64_t row_sample_every_ = 1;  // drift_every of a drift capture
 
   mutable std::mutex mutex_;  // guards detector_ and the fields below
   uint64_t model_hash_ = 0;

@@ -4,8 +4,10 @@
 // Bounded MPSC/MPMC queue with batch draining — the admission-control
 // core of the serving layer. Producers never block: a full queue is an
 // immediate kFull (the caller turns it into 429 + Retry-After). The
-// consumer blocks for work, then lingers up to a micro-batching window
-// so closely-spaced requests coalesce into one drain.
+// consumer blocks for work, then lingers until the oldest queued item
+// has waited a micro-batching window, so closely-spaced requests
+// coalesce into one drain and an item that already waited behind the
+// previous drain does not wait a whole window more.
 
 #include <algorithm>
 #include <chrono>
@@ -30,16 +32,17 @@ class BatchQueue {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) return PushResult::kClosed;
       if (items_.size() >= capacity_) return PushResult::kFull;
-      items_.push_back(std::move(item));
+      items_.push_back({std::move(item), std::chrono::steady_clock::now()});
     }
     cv_.notify_one();
     return PushResult::kOk;
   }
 
-  /// Blocks until at least one item is available, then waits up to
-  /// `batch_window` for more and moves up to `max_batch` items into
-  /// `out` (cleared first). Returns false only when the queue is closed
-  /// and fully drained.
+  /// Blocks until at least one item is available, then waits for more
+  /// until the oldest queued item was pushed `batch_window` ago (at once
+  /// when it already was), and moves up to `max_batch` items into `out`
+  /// (cleared first). Returns false only when the queue is closed and
+  /// fully drained.
   bool PopBatch(std::vector<T>* out, std::chrono::microseconds batch_window,
                 size_t max_batch) {
     out->clear();
@@ -47,17 +50,19 @@ class BatchQueue {
     cv_.wait(lock, [this] { return !items_.empty() || closed_; });
     if (items_.empty()) return false;  // closed and drained
     if (batch_window.count() > 0 && !closed_) {
-      // Linger for the coalescing window (or until the batch is full).
-      cv_.wait_for(lock, batch_window, [this, max_batch] {
-        return items_.size() >= max_batch || closed_;
-      });
+      // Linger out the oldest item's coalescing window (or until the
+      // batch is full).
+      cv_.wait_until(lock, items_.front().pushed + batch_window,
+                     [this, max_batch] {
+                       return items_.size() >= max_batch || closed_;
+                     });
     }
     const size_t take = max_batch == 0
                             ? items_.size()
                             : std::min(items_.size(), max_batch);
     out->reserve(take);
     for (size_t i = 0; i < take; ++i) {
-      out->push_back(std::move(items_.front()));
+      out->push_back(std::move(items_.front().item));
       items_.pop_front();
     }
     return true;
@@ -78,9 +83,14 @@ class BatchQueue {
   }
 
  private:
+  struct Queued {
+    T item;
+    std::chrono::steady_clock::time_point pushed;
+  };
+
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<T> items_;
+  std::deque<Queued> items_;
   size_t capacity_;
   bool closed_ = false;
 };

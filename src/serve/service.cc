@@ -278,13 +278,14 @@ std::vector<ScoredLink> LinkService::MatchScored(
   SKYEX_SPAN("serve/match_scored");
   std::lock_guard<std::mutex> lock(mutex_);
   // Linkage-quality hooks (no-ops until skyex_serve enables the quality
-  // runtime): entity-level drift observation, full decision capture for
-  // sampled attempts. Entity drift is observed where the entity is
-  // persisted only, so a scatter to k shards counts once.
+  // runtime): entity-level drift observation, and for sampled attempts a
+  // capture of what the runtime keeps (the audit trail, the drift rows).
+  // Entity drift is observed where the entity is persisted only, so a
+  // scatter to k shards counts once.
   quality::Runtime& quality_runtime = quality::Runtime::Global();
   if (persist) quality_runtime.ObserveEntity(entity);
   quality::MatchCapture capture;
-  const bool capturing = quality_runtime.ShouldCapture();
+  const bool capturing = quality_runtime.ShouldCapture(&capture);
   const std::vector<core::ScoredMatch> matches =
       linker_.MatchRecord(entity, stats, capturing ? &capture : nullptr);
   if (capturing) {

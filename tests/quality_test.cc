@@ -544,26 +544,6 @@ TEST(DriftDetectorTest, ShiftedEntitiesTripEntityWindow) {
   EXPECT_GT(stats.psi_name_len, 0.25);
 }
 
-TEST(DriftDetectorTest, RowDecimationObservesEveryNth) {
-  const data::Dataset dataset = MakeDataset(57.0, "");
-  const ml::FeatureMatrix matrix = MakeMatrix(100, 0.2);
-  const std::vector<double> scores = MakeScores(matrix);
-  const ReferenceProfile profile =
-      BuildReferenceProfile(dataset, matrix, scores, 1);
-
-  DriftOptions options;
-  options.window = 10;
-  options.row_sample_every = 4;
-  DriftDetector detector(profile, options);
-
-  // 100 rows at 1-in-4 = 25 observed: two full windows of 10, 5 pending.
-  for (size_t r = 0; r < matrix.rows; ++r) {
-    detector.ObserveRow(matrix.Row(r), matrix.cols, scores[r]);
-  }
-  EXPECT_EQ(detector.stats().row_windows, 2u);
-  EXPECT_EQ(detector.stats().rows_pending, 5u);
-}
-
 TEST(DriftDetectorTest, MismatchedRowWidthIgnored) {
   const data::Dataset dataset = MakeDataset(57.0, "");
   const ml::FeatureMatrix matrix = MakeMatrix(100, 0.2);
@@ -618,9 +598,13 @@ TEST(QualityRuntimeTest, EnableCaptureDisable) {
   EXPECT_TRUE(runtime.audit_enabled());
   EXPECT_TRUE(runtime.drift_enabled());
 
-  // Capture one decision and feed some entities.
-  ASSERT_TRUE(runtime.ShouldCapture());
+  // Capture one decision and feed some entities. The runtime asks for
+  // the audit trail and every drift row; the capture below is what the
+  // linker would return, its one scored row marked observed.
   MatchCapture capture;
+  ASSERT_TRUE(runtime.ShouldCapture(&capture));
+  EXPECT_TRUE(capture.audit);
+  EXPECT_EQ(capture.drift_every, 1u);
   capture.threshold_key = {0.7};
   CandidateDecision decision;
   decision.candidate_id = 5;
@@ -630,6 +614,7 @@ TEST(QualityRuntimeTest, EnableCaptureDisable) {
   decision.score = 0.42;
   decision.features = {0.2, 0.5, 1.0};
   capture.decisions.push_back(decision);
+  capture.observed = {0};
   const data::SpatialEntity entity = MakeEntity(77, 57.1, 10.1, "Cafe 1");
   runtime.ObserveEntity(entity);
   runtime.RecordCapture(entity, 2, std::move(capture));

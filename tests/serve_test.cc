@@ -4,13 +4,14 @@
 // control (429 + Retry-After), concurrent access (the thread-safety
 // contract of core/incremental.h is enforced by the shard's single
 // worker thread — asserted here by consistency under concurrency) and
-// the graceful drain. The server runs the default pipeline: one shard
-// behind the router.
+// the graceful drain, plus the micro-batching queue's linger. The
+// server runs the default pipeline: one shard behind the router.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +28,7 @@
 #include "obs/metrics.h"
 #include "serve/http.h"
 #include "serve/json_writer.h"
+#include "serve/queue.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "shard/router.h"
@@ -617,6 +619,31 @@ TEST(ServeTest, DebugTraceRejectsBadSeconds) {
   const auto response = client.Request("GET", "/debug/trace?seconds=x");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 400);
+}
+
+// The micro-batching linger ends a window after the oldest queued job
+// was pushed: a job that already waited that long pops at once, and a
+// fresh one still lingers the whole window. The bounds are wide: the
+// fresh pop cannot end before its window, and the old pop ends far
+// inside one.
+TEST(BatchQueueTest, LingersOnlyUntilTheOldestJobsWindowEnds) {
+  using Clock = std::chrono::steady_clock;
+  const auto window = std::chrono::milliseconds(400);
+  serve::BatchQueue<int> queue(8);
+  std::vector<int> batch;
+
+  ASSERT_EQ(queue.TryPush(1), serve::PushResult::kOk);
+  std::this_thread::sleep_for(window + std::chrono::milliseconds(100));
+  const Clock::time_point old_start = Clock::now();
+  ASSERT_TRUE(queue.PopBatch(&batch, window, 64));
+  EXPECT_LT(Clock::now() - old_start, window / 2);
+  EXPECT_EQ(batch, std::vector<int>{1});
+
+  const Clock::time_point fresh_push = Clock::now();
+  ASSERT_EQ(queue.TryPush(2), serve::PushResult::kOk);
+  ASSERT_TRUE(queue.PopBatch(&batch, window, 64));
+  EXPECT_GE(Clock::now() - fresh_push, window);
+  EXPECT_EQ(batch, std::vector<int>{2});
 }
 
 }  // namespace
