@@ -99,6 +99,25 @@ std::optional<ProjectedModel> ProjectModel(const SkyExTModel& model,
 
 SkyExT::SkyExT(SkyExTOptions options) : options_(options) {}
 
+std::vector<size_t> SkyExT::MiRows(
+    const std::vector<size_t>& train_rows,
+    const std::vector<size_t>* unsupervised_rows) const {
+  if (!options_.use_mi_dedup) return {};
+  const std::vector<size_t>& rows =
+      unsupervised_rows != nullptr ? *unsupervised_rows : train_rows;
+  const size_t cap = options_.selection.max_mi_rows;
+  if (cap == 0 || rows.size() <= cap) return rows;
+  // Deterministic thinning keeps the subsample spread out.
+  std::vector<size_t> thinned;
+  const double stride =
+      static_cast<double>(rows.size()) / static_cast<double>(cap);
+  thinned.reserve(cap);
+  for (size_t k = 0; k < cap; ++k) {
+    thinned.push_back(rows[static_cast<size_t>(k * stride)]);
+  }
+  return thinned;
+}
+
 SkyExTModel SkyExT::Train(const ml::FeatureMatrix& matrix,
                           const std::vector<uint8_t>& labels,
                           const std::vector<size_t>& train_rows,
@@ -111,21 +130,8 @@ SkyExTModel SkyExT::Train(const ml::FeatureMatrix& matrix,
   // reads no labels, so it may run on more rows than the labeled sample.
   std::vector<size_t> columns;
   if (options_.use_mi_dedup) {
-    std::vector<size_t> mi_rows =
-        unsupervised_rows != nullptr ? *unsupervised_rows : train_rows;
-    if (options_.selection.max_mi_rows > 0 &&
-        mi_rows.size() > options_.selection.max_mi_rows) {
-      // Deterministic thinning keeps the subsample spread out.
-      std::vector<size_t> thinned;
-      const double stride = static_cast<double>(mi_rows.size()) /
-                            static_cast<double>(options_.selection.max_mi_rows);
-      thinned.reserve(options_.selection.max_mi_rows);
-      for (size_t k = 0; k < options_.selection.max_mi_rows; ++k) {
-        thinned.push_back(mi_rows[static_cast<size_t>(k * stride)]);
-      }
-      mi_rows = std::move(thinned);
-    }
-    columns = DeduplicateFeatures(matrix, mi_rows, options_.selection);
+    columns = DeduplicateFeatures(
+        matrix, MiRows(train_rows, unsupervised_rows), options_.selection);
   } else {
     columns.resize(matrix.cols);
     std::iota(columns.begin(), columns.end(), 0);

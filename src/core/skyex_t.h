@@ -144,11 +144,27 @@ class SkyExT {
   /// `unsupervised_rows` (e.g. all pairs) to run it on more data than
   /// the labeled sample — with tiny training sets this stabilizes the
   /// feature selection considerably. nullptr → use the training rows.
+  ///
+  /// Train reads the rows of `matrix` at `train_rows` and at
+  /// MiRows(train_rows, unsupervised_rows), and no other, each list
+  /// element by element in list order. So a matrix holding just those
+  /// rows, with every element of both lists mapped onto its row there
+  /// (core/two_pass.h), trains the same model. The row ids themselves
+  /// break only ties between rows that compare equal, which order rows
+  /// within one skyline layer and change no layer.
   SkyExTModel Train(const ml::FeatureMatrix& matrix,
                     const std::vector<uint8_t>& labels,
                     const std::vector<size_t>& train_rows,
                     const std::vector<size_t>* unsupervised_rows =
                         nullptr) const;
+
+  /// The rows Train's MI de-duplication step reads: `unsupervised_rows`,
+  /// or `train_rows` when it is null, thinned by a fixed stride to
+  /// options().selection.max_mi_rows when there are more. Empty when the
+  /// step is off.
+  std::vector<size_t> MiRows(const std::vector<size_t>& train_rows,
+                             const std::vector<size_t>* unsupervised_rows =
+                                 nullptr) const;
 
   /// Algorithm 2: ranks `rows` under the model's preference, peeling
   /// skylines until c_t·|rows| pairs are ranked, labels those positive

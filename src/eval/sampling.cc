@@ -9,13 +9,18 @@ namespace skyex::eval {
 
 std::vector<Split> DisjointTrainingSplits(size_t n, double train_fraction,
                                           size_t repetitions, uint64_t seed) {
+  if (n == 0) return std::vector<Split>(1);  // no row to sample
   std::vector<size_t> indices(n);
   std::iota(indices.begin(), indices.end(), 0);
   std::mt19937_64 rng(seed);
   std::shuffle(indices.begin(), indices.end(), rng);
 
-  size_t train_size = static_cast<size_t>(train_fraction *
-                                          static_cast<double>(n));
+  // Casting a negative or NaN product to size_t is undefined, so the
+  // fraction is clamped to [0, 1] first (NaN to 0).
+  const double fraction =
+      train_fraction > 0.0 ? std::min(train_fraction, 1.0) : 0.0;
+  size_t train_size =
+      static_cast<size_t>(fraction * static_cast<double>(n));
   train_size = std::max<size_t>(1, std::min(train_size, n));
   // All training sets must be disjoint.
   const size_t max_reps = std::max<size_t>(1, n / train_size);

@@ -17,7 +17,9 @@ struct Split {
 /// each (the paper's protocol: "repeated 10 times on disjoint training
 /// sets"); each split's test set is everything outside its own training
 /// set. When the requested disjoint sets exceed n rows, the repetition
-/// count is reduced.
+/// count is reduced. A fraction above 1 takes every row; one too small
+/// for a row, a negative one or NaN takes one row. With n = 0 there is
+/// one split, and both its sets are empty.
 std::vector<Split> DisjointTrainingSplits(size_t n, double train_fraction,
                                           size_t repetitions, uint64_t seed);
 

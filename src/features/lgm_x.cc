@@ -274,7 +274,24 @@ ml::FeatureMatrix LgmXExtractor::Extract(
   for (size_t c : plan.columns) names.push_back(names_[c]);
   ml::FeatureMatrix matrix =
       ml::FeatureMatrix::Zeros(pairs.size(), std::move(names));
+  FillRows(dataset, pairs, nullptr, plan, &matrix);
+  return matrix;
+}
 
+void LgmXExtractor::ExtractRows(const data::Dataset& dataset,
+                                const std::vector<geo::CandidatePair>& pairs,
+                                const std::vector<size_t>& rows,
+                                const ColumnPlan& plan,
+                                ml::FeatureMatrix* matrix) const {
+  SKYEX_PHASE("features/extract_lgmx", prof::Phase::kExtraction, nullptr);
+  FillRows(dataset, pairs, &rows, plan, matrix);
+}
+
+void LgmXExtractor::FillRows(const data::Dataset& dataset,
+                             const std::vector<geo::CandidatePair>& pairs,
+                             const std::vector<size_t>* rows,
+                             const ColumnPlan& plan,
+                             ml::FeatureMatrix* matrix) const {
   // Cache normalized strings per entity once.
   std::vector<EntityText> cache(dataset.size());
   for (size_t i = 0; i < dataset.size(); ++i) {
@@ -285,21 +302,22 @@ ml::FeatureMatrix LgmXExtractor::Extract(
   // options_.num_threads only caps the fan-out of this call, it never
   // grows the pool. Each row lands in its own matrix slot, so the result
   // is the same at any thread count.
+  const size_t count = rows != nullptr ? rows->size() : pairs.size();
   par::ForOptions for_options;
   for_options.grain = 256;
   for_options.chunking = par::Chunking::kDynamic;
   for_options.max_parallelism = options_.num_threads;
   par::ParallelForChunked(
-      0, pairs.size(), for_options, [&](size_t begin, size_t end) {
+      0, count, for_options, [&](size_t begin, size_t end) {
         SKYEX_SPAN("features/extract_worker");
-        for (size_t r = begin; r < end; ++r) {
+        for (size_t k = begin; k < end; ++k) {
+          const size_t r = rows != nullptr ? (*rows)[k] : k;
           const auto [i, j] = pairs[r];
           RowFromCache(dataset[i], cache[i], dataset[j], cache[j], plan,
-                       matrix.Row(r));
+                       matrix->Row(r));
         }
       });
-  SKYEX_COUNTER_ADD("features/rows_extracted", pairs.size());
-  return matrix;
+  SKYEX_COUNTER_ADD("features/rows_extracted", count);
 }
 
 std::vector<geo::CandidatePair> LgmXExtractor::PrefilterPairs(

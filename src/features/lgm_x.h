@@ -123,6 +123,16 @@ class LgmXExtractor {
                             const std::vector<geo::CandidatePair>& pairs,
                             const ColumnPlan& plan) const;
 
+  /// Same, for the pairs at `rows` (indices into `pairs`) only: writes
+  /// the plan's columns of pairs[r] to matrix->Row(r), which must hold
+  /// plan.width() doubles, and leaves every other row as it is. Two-pass
+  /// training (core/two_pass.h) fills the rows it did not extract in full
+  /// this way.
+  void ExtractRows(const data::Dataset& dataset,
+                   const std::vector<geo::CandidatePair>& pairs,
+                   const std::vector<size_t>& rows, const ColumnPlan& plan,
+                   ml::FeatureMatrix* matrix) const;
+
   /// Stage-1 sketch pre-filter for the batch path: returns the pairs whose
   /// sketch estimate (features::EstimatePair over per-entity bigram
   /// sketches) reaches `threshold`, preserving order. `threshold <= 0`
@@ -142,6 +152,14 @@ class LgmXExtractor {
                     const uint32_t* slot, const std::string& a_norm,
                     const std::string& a_sorted, const std::string& b_norm,
                     const std::string& b_sorted, double* out) const;
+
+  // The bulk loop of Extract and ExtractRows: the plan's columns of
+  // pairs[r] into matrix->Row(r), for r in `rows`, or for every pair
+  // when `rows` is null.
+  void FillRows(const data::Dataset& dataset,
+                const std::vector<geo::CandidatePair>& pairs,
+                const std::vector<size_t>* rows, const ColumnPlan& plan,
+                ml::FeatureMatrix* matrix) const;
 
   lgm::LgmSim name_sim_;
   lgm::LgmSim addr_sim_;

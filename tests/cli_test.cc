@@ -3,6 +3,7 @@
 // std::system and checks the produced artifacts.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +18,8 @@
 #include "core/pipeline.h"
 #include "core/skyex_t.h"
 #include "data/csv.h"
+#include "data/ground_truth.h"
+#include "eval/sampling.h"
 #include "features/lgm_x.h"
 #include "geo/quadflex.h"
 
@@ -210,6 +213,108 @@ TEST_F(CliTest, ModelCommandsWriteTheFullMatrixPathsBytes) {
   const std::string want = ReadFile(reference);
   std::remove(reference.c_str());
   EXPECT_TRUE(ReadFile(linked_) == want) << "linked.csv differs";
+}
+
+// Without --model, `link` and `prefilter-eval` train in two passes
+// (core/two_pass.h), and `train` keeps the full matrix. The reference is
+// the one-pass path: every LGM-X column, SkyExT::Train on 4% of the
+// pairs (seed 42) with the MI step over all of them, then
+// core::LinkEntities / SkyExT::Label on the full matrix. The 2,000-record
+// world has more pairs than max_mi_rows, so the MI rows are thinned.
+TEST_F(CliTest, TrainingCommandsWriteTheOnePassPathsBytes) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=2000 --seed=7 "
+                   "--out=" + entities_),
+            0);
+  const std::string curve = TempPath("cli_one_pass_curve.json");
+  const std::string model_curve = TempPath("cli_one_pass_model_curve.json");
+  ASSERT_EQ(RunCli("train --in=" + entities_ + " --no-profile --model-out=" +
+                   model_),
+            0);
+  ASSERT_EQ(RunCli("link --in=" + entities_ + " --out=" + linked_), 0);
+  ASSERT_EQ(RunCli("prefilter-eval --in=" + entities_ + " --out=" + curve),
+            0);
+  ASSERT_EQ(RunCli("prefilter-eval --in=" + entities_ + " --model=" +
+                   model_ + " --out=" + model_curve),
+            0);
+
+  skyex::data::Dataset dataset;
+  ASSERT_TRUE(skyex::data::ReadDatasetCsv(entities_, &dataset));
+  const std::vector<skyex::geo::CandidatePair> pairs =
+      skyex::geo::BlockPoints(dataset.Points());
+  ASSERT_GT(pairs.size(), skyex::core::FeatureSelectionOptions().max_mi_rows);
+  const skyex::ml::FeatureMatrix full =
+      skyex::features::LgmXExtractor::FromCorpus(dataset).Extract(dataset,
+                                                                  pairs);
+  const std::vector<size_t> all_rows = skyex::core::AllRows(pairs.size());
+  const skyex::core::SkyExTModel model = skyex::core::SkyExT().Train(
+      full, skyex::data::LabelPairs(dataset, pairs),
+      skyex::eval::RandomSplit(pairs.size(), 0.04, 42).train, &all_rows);
+  EXPECT_TRUE(ReadFile(model_) == skyex::core::SaveModel(model))
+      << "model differs";
+
+  skyex::data::Dataset merged;
+  for (const auto& entity :
+       skyex::core::LinkEntities(dataset, full, pairs, model)) {
+    merged.entities.push_back(entity.merged);
+  }
+  const std::string reference = linked_ + ".full";
+  ASSERT_TRUE(skyex::data::WriteDatasetCsv(merged, reference));
+  const std::string want = ReadFile(reference);
+  std::remove(reference.c_str());
+  EXPECT_TRUE(ReadFile(linked_) == want) << "linked.csv differs";
+
+  // The curve reads only which pairs the model accepts: the saved
+  // one-pass model's curve, over the one-pass labels.
+  size_t accepted = 0;
+  for (const uint8_t v : skyex::core::SkyExT::Label(full, all_rows, model)) {
+    accepted += v;
+  }
+  const std::string got = ReadFile(curve);
+  EXPECT_NE(got.find("\"accepted\": " + std::to_string(accepted) + ","),
+            std::string::npos)
+      << got;
+  EXPECT_TRUE(got == ReadFile(model_curve)) << "prefilter curve differs";
+  std::remove(curve.c_str());
+  std::remove(model_curve.c_str());
+}
+
+// Outside (0, 1] the sample is one pair or every pair, never the
+// fraction asked for; each training command refuses such a value as a
+// usage error before reading its input.
+TEST_F(CliTest, TrainFractionOutsideTheUnitIntervalIsRefused) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=300 --seed=3 "
+                   "--out=" + entities_),
+            0);
+  const std::string in = " --in=" + entities_;
+  for (const std::string& command :
+       {"train" + in + " --no-profile --model-out=" + model_,
+        "link" + in + " --out=" + linked_, "prefilter-eval" + in}) {
+    for (const std::string fraction : {"0", "-0.5", "1.5", "nan"}) {
+      std::string log;
+      const int status =
+          RunCliLogging(command + " --train-fraction=" + fraction, &log);
+      ASSERT_TRUE(WIFEXITED(status)) << command;
+      EXPECT_EQ(WEXITSTATUS(status), 2) << command << " " << fraction;
+      EXPECT_NE(log.find("error: invalid value '" + fraction +
+                         "' for --train-fraction (expected a number in "
+                         "(0, 1])"),
+                std::string::npos)
+          << command << ": " << log;
+    }
+    EXPECT_EQ(RunCli(command + " --train-fraction=1"), 0) << command;
+  }
+}
+
+// A world without pairs (one record) trains on none and links each
+// record to itself.
+TEST_F(CliTest, LinkWithoutPairsKeepsEveryRecord) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=1 --seed=3 "
+                   "--out=" + entities_),
+            0);
+  ASSERT_EQ(RunCli("link --in=" + entities_ + " --out=" + linked_), 0);
+  skyex::data::Dataset merged;
+  ASSERT_TRUE(skyex::data::ReadDatasetCsv(linked_, &merged));
+  EXPECT_EQ(merged.size(), 1u);
 }
 
 // A model may parse yet read a feature index past the 88-column schema.

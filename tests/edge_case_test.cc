@@ -141,5 +141,14 @@ TEST(SamplingEdge, SingleElement) {
   EXPECT_EQ(splits[0].train.size(), 1u);
 }
 
+// A world without pairs has nothing to train on; the one-row floor must
+// not reach past the end.
+TEST(SamplingEdge, NoElementsGivesOneEmptySplit) {
+  const auto splits = eval::DisjointTrainingSplits(0, 0.04, 5, 1);
+  ASSERT_EQ(splits.size(), 1u);
+  EXPECT_TRUE(splits[0].train.empty());
+  EXPECT_TRUE(splits[0].test.empty());
+}
+
 }  // namespace
 }  // namespace skyex

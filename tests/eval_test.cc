@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "eval/metrics.h"
@@ -64,6 +65,27 @@ TEST(Sampling, TinyFractionStillHasOneRow) {
   const auto splits = DisjointTrainingSplits(100, 0.0001, 2, 1);
   ASSERT_FALSE(splits.empty());
   EXPECT_EQ(splits[0].train.size(), 1u);
+}
+
+// The CLI refuses such fractions; the library clamps them before the
+// size_t cast, which is undefined for a negative or NaN product.
+TEST(Sampling, FractionOutsideTheUnitIntervalIsClamped) {
+  for (const double fraction :
+       {std::numeric_limits<double>::quiet_NaN(), -0.5, -1e300}) {
+    SCOPED_TRACE(fraction);
+    const auto splits = DisjointTrainingSplits(100, fraction, 3, 1);
+    ASSERT_EQ(splits.size(), 3u);
+    EXPECT_EQ(splits[0].train.size(), 1u);
+    EXPECT_EQ(splits[0].test.size(), 99u);
+  }
+  for (const double fraction :
+       {1.5, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(fraction);
+    const auto splits = DisjointTrainingSplits(100, fraction, 3, 1);
+    ASSERT_EQ(splits.size(), 1u);
+    EXPECT_EQ(splits[0].train.size(), 100u);
+    EXPECT_TRUE(splits[0].test.empty());
+  }
 }
 
 TEST(Sampling, DeterministicBySeed) {

@@ -28,6 +28,7 @@
 #include "core/model_io.h"
 #include "core/pipeline.h"
 #include "core/skyex_t.h"
+#include "core/two_pass.h"
 #include "data/csv.h"
 #include "data/ground_truth.h"
 #include "data/northdk_generator.h"
@@ -96,10 +97,8 @@ int Usage() {
   return 2;
 }
 
-// Loads the dataset, blocks it (geo::BlockPoints: QuadFlex when any
-// record has coordinates, Cartesian otherwise), labels with the
-// ground-truth rule and extracts features: every LGM-X column, or only
-// `columns` (in that order) when given.
+// A dataset, its blocked pairs, their ground-truth labels and their
+// features.
 struct LoadedPipeline {
   skyex::data::Dataset dataset;
   std::vector<skyex::geo::CandidatePair> pairs;
@@ -107,8 +106,10 @@ struct LoadedPipeline {
   skyex::ml::FeatureMatrix features;
 };
 
-std::optional<LoadedPipeline> LoadPipeline(
-    const std::string& path, const std::vector<size_t>* columns = nullptr) {
+// Loads the dataset, blocks it (geo::BlockPoints: QuadFlex when any
+// record has coordinates, Cartesian otherwise) and labels the pairs with
+// the ground-truth rule. The features stay empty.
+std::optional<LoadedPipeline> LoadPairs(const std::string& path) {
   SKYEX_SPAN("cli/load_pipeline");
   LoadedPipeline p;
   {
@@ -128,12 +129,21 @@ std::optional<LoadedPipeline> LoadPipeline(
                  {"path", path}, {"records", p.dataset.size()},
                  {"pairs", p.pairs.size()},
                  {"blocker", blocker});
+  return p;
+}
+
+// LoadPairs, then the pairs' features: every LGM-X column, or only
+// `columns` (in that order) when given.
+std::optional<LoadedPipeline> LoadPipeline(
+    const std::string& path, const std::vector<size_t>* columns = nullptr) {
+  auto p = LoadPairs(path);
+  if (!p.has_value()) return std::nullopt;
   const auto extractor =
-      skyex::features::LgmXExtractor::FromCorpus(p.dataset);
-  p.features = columns == nullptr
-                   ? extractor.Extract(p.dataset, p.pairs)
-                   : extractor.Extract(p.dataset, p.pairs,
-                                       extractor.PlanColumns(*columns));
+      skyex::features::LgmXExtractor::FromCorpus(p->dataset);
+  p->features = columns == nullptr
+                    ? extractor.Extract(p->dataset, p->pairs)
+                    : extractor.Extract(p->dataset, p->pairs,
+                                        extractor.PlanColumns(*columns));
   return p;
 }
 
@@ -156,21 +166,22 @@ std::optional<skyex::core::ProjectedModel> LoadProjectedModel(
   return projected;
 }
 
-SkyExTModel TrainOnFraction(const LoadedPipeline& p, double fraction,
-                            uint64_t seed) {
-  const auto split =
-      skyex::eval::RandomSplit(p.pairs.size(), fraction, seed);
-  const std::vector<size_t> all_rows = skyex::core::AllRows(p.pairs.size());
-  const SkyExT skyex;
-  SkyExTModel model =
-      skyex.Train(p.features, p.labels, split.train, &all_rows);
+// The labelled pairs SkyEx-T trains on: --train-fraction of them (main
+// has checked it lies in (0, 1]), drawn with --seed.
+std::vector<size_t> TrainingRows(const LoadedPipeline& p, const Flags& flags) {
+  return skyex::eval::RandomSplit(p.pairs.size(),
+                                  flags.GetDouble("train-fraction", 0.04),
+                                  flags.GetSize("seed", 42))
+      .train;
+}
+
+void LogTrainedModel(size_t train_pairs, const SkyExTModel& model) {
   SKYEX_LOG_INFO("cli/train_model", "trained SkyEx-T model",
-                 {"train_pairs", split.train.size()},
+                 {"train_pairs", train_pairs},
                  {"cutoff_ratio", model.cutoff_ratio},
                  {"train_f1", model.train_f1});
   SKYEX_LOG_DEBUG("cli/train_model", "preference",
-                  {"p", model.Describe(p.features.names)});
-  return model;
+                  {"p", model.Describe(skyex::features::LgmXFeatureNames())});
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -194,12 +205,16 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
+// `train` keeps every column of every pair: the reference profile
+// histograms them all.
 int CmdTrain(const Flags& flags) {
   const auto p = LoadPipeline(flags.Get("in", "entities.csv"));
   if (!p.has_value()) return 1;
-  const SkyExTModel model = TrainOnFraction(
-      *p, flags.GetDouble("train-fraction", 0.04),
-      flags.GetSize("seed", 42));
+  const std::vector<size_t> train_rows = TrainingRows(*p, flags);
+  const std::vector<size_t> all_rows = skyex::core::AllRows(p->pairs.size());
+  const SkyExTModel model =
+      SkyExT().Train(p->features, p->labels, train_rows, &all_rows);
+  LogTrainedModel(train_rows.size(), model);
   const std::string out = flags.Get("model-out", "model.txt");
   if (!skyex::core::SaveModelToFile(model, out)) {
     std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
@@ -278,9 +293,10 @@ int CmdApply(const Flags& flags) {
   return 0;
 }
 
-// The pipeline and model of `link` and `prefilter-eval`: with --model,
-// the saved model projected onto its columns and a pipeline holding only
-// those; otherwise every column and a model trained on a fraction of it.
+// The pipeline and model of `link` and `prefilter-eval`: a model
+// projected onto the columns its preference reads, and a pipeline holding
+// only those. With --model it is the saved model; otherwise a model
+// trained on a fraction of the pairs, in two passes (core/two_pass.h).
 struct ModelAndPipeline {
   LoadedPipeline pipeline;
   SkyExTModel model;
@@ -290,11 +306,16 @@ std::optional<ModelAndPipeline> LoadOrTrain(const Flags& flags) {
   const std::string in = flags.Get("in", "entities.csv");
   const std::string model_path = flags.Get("model");
   if (model_path.empty()) {
-    auto p = LoadPipeline(in);
+    auto p = LoadPairs(in);
     if (!p.has_value()) return std::nullopt;
-    SkyExTModel model = TrainOnFraction(
-        *p, flags.GetDouble("train-fraction", 0.04), flags.GetSize("seed", 42));
-    return ModelAndPipeline{std::move(*p), std::move(model)};
+    const std::vector<size_t> train_rows = TrainingRows(*p, flags);
+    skyex::core::TwoPassModel trained = skyex::core::TrainTwoPass(
+        SkyExT(), skyex::features::LgmXExtractor::FromCorpus(p->dataset),
+        p->dataset, p->pairs, p->labels, train_rows);
+    LogTrainedModel(train_rows.size(), trained.model);
+    p->features = std::move(trained.features);
+    return ModelAndPipeline{std::move(*p),
+                            std::move(trained.projected.model)};
   }
   auto projected = LoadProjectedModel(model_path);
   if (!projected.has_value()) return std::nullopt;
@@ -491,6 +512,18 @@ int main(int argc, char** argv) {
   }
 
   if (!flags.has_value()) return 2;
+  // Outside (0, 1] the training sample is one pair or every pair, never
+  // the fraction asked for. NaN fails the test as well.
+  if (flags->Has("train-fraction")) {
+    const double fraction = flags->GetDouble("train-fraction", 0.0);
+    if (!(fraction > 0.0 && fraction <= 1.0)) {
+      std::fprintf(stderr,
+                   "error: invalid value '%s' for --train-fraction "
+                   "(expected a number in (0, 1])\n",
+                   flags->Get("train-fraction").c_str());
+      return 2;
+    }
+  }
   if (!ObsSetup(*flags)) return 2;
   const int rc = run(*flags);
   const int obs_rc = ObsFinish(*flags);
