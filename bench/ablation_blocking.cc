@@ -7,8 +7,8 @@
 
 #include "bench_common.h"
 #include "blocking/blockers.h"
-#include "eval/stopwatch.h"
 #include "geo/quadflex.h"
+#include "obs/stopwatch.h"
 
 int main(int argc, char** argv) {
   auto config = skyex::bench::ParseFlags(argc, argv);
@@ -36,23 +36,23 @@ int main(int argc, char** argv) {
   };
 
   {
-    skyex::eval::Stopwatch sw;
+    skyex::obs::Stopwatch sw;
     const auto pairs = skyex::geo::QuadFlexBlock(dataset.Points());
     report("QuadFlex", pairs, sw.ElapsedMillis());
   }
   {
-    skyex::eval::Stopwatch sw;
+    skyex::obs::Stopwatch sw;
     skyex::blocking::GridBlockOptions grid;
     const auto pairs = skyex::blocking::GridBlock(dataset, grid);
     report("Grid 200m", pairs, sw.ElapsedMillis());
   }
   {
-    skyex::eval::Stopwatch sw;
+    skyex::obs::Stopwatch sw;
     const auto pairs = skyex::blocking::TokenBlock(dataset);
     report("Token blocking", pairs, sw.ElapsedMillis());
   }
   {
-    skyex::eval::Stopwatch sw;
+    skyex::obs::Stopwatch sw;
     const auto pairs = skyex::blocking::SortedNeighborhoodBlock(dataset);
     report("Sorted neighborhood", pairs, sw.ElapsedMillis());
   }

@@ -9,9 +9,9 @@
 #include "bench_common.h"
 #include "core/skyex_t.h"
 #include "eval/sampling.h"
-#include "eval/stopwatch.h"
 #include "ml/importance.h"
 #include "ml/random_forest.h"
+#include "obs/stopwatch.h"
 
 int main(int argc, char** argv) {
   const auto config = skyex::bench::ParseFlags(argc, argv);
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
       skyex::core::AllRows(d.pairs.size());
 
   std::printf("--- SkyEx-T: the model IS the explanation ---\n");
-  skyex::eval::Stopwatch sky_watch;
+  skyex::obs::Stopwatch sky_watch;
   const skyex::core::SkyExT skyex;
   const auto model =
       skyex.Train(d.features, d.pairs.labels, split.train, &all_rows);
@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
               model.Describe(d.features.names).c_str(), sky_ms);
 
   std::printf("--- Random forest: post-hoc permutation importance ---\n");
-  skyex::eval::Stopwatch rf_watch;
+  skyex::obs::Stopwatch rf_watch;
   skyex::ml::RandomForest forest;
   forest.Fit(d.features, d.pairs.labels, split.train);
   const double fit_ms = rf_watch.ElapsedMillis();
 
-  skyex::eval::Stopwatch imp_watch;
+  skyex::obs::Stopwatch imp_watch;
   skyex::ml::ImportanceOptions imp_options;
   imp_options.max_rows = config.max_eval / 4;
   const auto importances = skyex::ml::PermutationImportance(

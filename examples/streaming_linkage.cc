@@ -10,7 +10,7 @@
 #include "core/pipeline.h"
 #include "core/skyex_t.h"
 #include "eval/sampling.h"
-#include "eval/stopwatch.h"
+#include "obs/stopwatch.h"
 
 int main() {
   // Initial batch + training.
@@ -44,7 +44,7 @@ int main() {
   const skyex::data::Dataset fresh =
       skyex::data::GenerateNorthDk(fresh_options);
 
-  skyex::eval::Stopwatch watch;
+  skyex::obs::Stopwatch watch;
   size_t arrived = 0;
   size_t linked = 0;
   for (size_t k = 0; k < 60; ++k) {

@@ -214,7 +214,7 @@ std::vector<ScoredMatch> IncrementalLinker::MatchRecord(
       for (size_t k = 0; k < candidates.size(); ++k) {
         const double estimate =
             features::EstimatePair(record_entry.sketch, entries[k]->sketch);
-        const bool pass = options_.prefilter_threshold <= 0.0 ||
+        const bool pass = !(options_.prefilter_threshold > 0.0) ||
                           estimate >= options_.prefilter_threshold;
         if (audit && !pass) {
           quality::CandidateDecision decision;

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "features/feature_schema.h"
-#include "features/sketch.h"
 #include "geo/distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -318,44 +317,6 @@ void LgmXExtractor::FillRows(const data::Dataset& dataset,
         }
       });
   SKYEX_COUNTER_ADD("features/rows_extracted", count);
-}
-
-std::vector<geo::CandidatePair> LgmXExtractor::PrefilterPairs(
-    const data::Dataset& dataset,
-    const std::vector<geo::CandidatePair>& pairs, double threshold,
-    size_t* dropped) const {
-  if (dropped != nullptr) *dropped = 0;
-  if (threshold <= 0.0 || pairs.empty()) return pairs;
-  SKYEX_PHASE("features/prefilter_pairs", prof::Phase::kPrefilter, nullptr);
-
-  // Sketch every entity once (the sketch is an order of magnitude cheaper
-  // than one feature row, and amortizes over every pair the entity is in).
-  std::vector<EntitySketch> sketches(dataset.size());
-  par::ForOptions for_options;
-  for_options.grain = 512;
-  for_options.max_parallelism = options_.num_threads;
-  par::ParallelForChunked(
-      0, dataset.size(), for_options, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          sketches[i].name =
-              BuildTokenSketch(text::Normalize(dataset[i].name));
-          sketches[i].addr =
-              BuildTokenSketch(text::Normalize(dataset[i].address_name));
-        }
-      });
-
-  std::vector<geo::CandidatePair> kept;
-  kept.reserve(pairs.size());
-  for (const geo::CandidatePair& pair : pairs) {
-    if (EstimatePair(sketches[pair.first], sketches[pair.second]) >=
-        threshold) {
-      kept.push_back(pair);
-    }
-  }
-  const size_t n_dropped = pairs.size() - kept.size();
-  if (dropped != nullptr) *dropped = n_dropped;
-  SKYEX_COUNTER_ADD("extract/prefilter_dropped", n_dropped);
-  return kept;
 }
 
 }  // namespace skyex::features

@@ -133,17 +133,6 @@ class LgmXExtractor {
                    const std::vector<size_t>& rows, const ColumnPlan& plan,
                    ml::FeatureMatrix* matrix) const;
 
-  /// Stage-1 sketch pre-filter for the batch path: returns the pairs whose
-  /// sketch estimate (features::EstimatePair over per-entity bigram
-  /// sketches) reaches `threshold`, preserving order. `threshold <= 0`
-  /// returns the input unchanged — the bit-identity guarantee of
-  /// --prefilter-threshold=0. `dropped`, when non-null, receives the number
-  /// of discarded pairs. Adds to the `extract/prefilter_dropped` counter.
-  std::vector<geo::CandidatePair> PrefilterPairs(
-      const data::Dataset& dataset,
-      const std::vector<geo::CandidatePair>& pairs, double threshold,
-      size_t* dropped = nullptr) const;
-
  private:
   // Computes the planned features of one textual attribute. `slot` holds
   // the output positions of the attribute's 43 schema columns, in schema

@@ -4,11 +4,6 @@
 
 namespace skyex::geo {
 
-bool operator==(const GeoPoint& a, const GeoPoint& b) {
-  if (!a.valid || !b.valid) return a.valid == b.valid;
-  return a.lat == b.lat && a.lon == b.lon;
-}
-
 BoundingBox Extend(const BoundingBox& box, const GeoPoint& p) {
   BoundingBox out = box;
   out.min_lat = std::min(out.min_lat, p.lat);

@@ -14,8 +14,6 @@ struct GeoPoint {
   static GeoPoint Invalid() { return GeoPoint{0.0, 0.0, false}; }
 };
 
-bool operator==(const GeoPoint& a, const GeoPoint& b);
-
 /// An axis-aligned bounding box in degrees.
 struct BoundingBox {
   double min_lat = 0.0;

@@ -13,7 +13,7 @@ namespace skyex::lgm {
 /// Parameters of the LGM-Sim meta-similarity. The defaults are the
 /// weights learned on the Geonames toponym corpus in Giannopoulos et al.
 /// (base-list dominant); the paper reuses them "as is" — a transfer-
-/// learning setup — and so do we. `weight_search.h` can re-learn them.
+/// learning setup — and so do we.
 struct LgmSimConfig {
   /// Weight of the base-list similarity.
   double base_weight = 0.7;

@@ -51,12 +51,4 @@ int FeatureMatrix::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-std::vector<uint8_t> SelectLabels(const std::vector<uint8_t>& labels,
-                                  const std::vector<size_t>& row_indices) {
-  std::vector<uint8_t> out;
-  out.reserve(row_indices.size());
-  for (size_t r : row_indices) out.push_back(labels[r]);
-  return out;
-}
-
 }  // namespace skyex::ml

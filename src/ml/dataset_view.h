@@ -33,10 +33,6 @@ struct FeatureMatrix {
   int ColumnIndex(const std::string& name) const;
 };
 
-/// Gathers the labels for a row subset.
-std::vector<uint8_t> SelectLabels(const std::vector<uint8_t>& labels,
-                                  const std::vector<size_t>& row_indices);
-
 }  // namespace skyex::ml
 
 #endif  // SKYEX_ML_DATASET_VIEW_H_

@@ -98,10 +98,6 @@ std::vector<uint64_t> Histogram::CumulativeCounts() const {
   return out;
 }
 
-std::vector<double> Histogram::BucketBounds() const {
-  return cell_ == nullptr ? std::vector<double>{} : cell_->bounds;
-}
-
 double Histogram::Quantile(double q) const {
   if (cell_ == nullptr) return 0.0;
   const std::vector<uint64_t> cumulative = CumulativeCounts();
@@ -197,11 +193,6 @@ bool MetricsRegistry::HasCounter(const std::string& name) const {
 bool MetricsRegistry::HasGauge(const std::string& name) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->gauges.count(name) > 0;
-}
-
-bool MetricsRegistry::HasHistogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->histograms.count(name) > 0;
 }
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {

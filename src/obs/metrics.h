@@ -87,9 +87,6 @@ class Histogram {
   /// Cumulative count of observations <= bounds[i]; the final entry is
   /// the total count (the +inf bucket).
   std::vector<uint64_t> CumulativeCounts() const;
-  /// Upper bucket bounds this histogram was registered with (without
-  /// the implicit +inf bucket).
-  std::vector<double> BucketBounds() const;
   /// Approximate quantile q in [0, 1] by linear interpolation inside
   /// the containing bucket; observations in the +inf bucket clamp to
   /// the largest bound. 0 when empty.
@@ -123,7 +120,6 @@ class MetricsRegistry {
   /// True iff a metric of that kind was ever registered under `name`.
   bool HasCounter(const std::string& name) const;
   bool HasGauge(const std::string& name) const;
-  bool HasHistogram(const std::string& name) const;
 
   /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}}.
   void WriteJson(std::ostream& out) const;

@@ -5,9 +5,8 @@
 
 namespace skyex::obs {
 
-/// Wall-clock stopwatch. Successor of skyex::eval::Stopwatch (the old
-/// header aliases this one); for pipeline stages prefer SKYEX_SPAN,
-/// which feeds the trace collector and nests.
+/// Wall-clock stopwatch. For pipeline stages prefer SKYEX_SPAN, which
+/// feeds the trace collector and nests.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

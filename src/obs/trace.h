@@ -117,9 +117,6 @@ void WriteChromeTraceEvents(std::ostream& out,
 /// Microseconds since the collector epoch (shared clock of all spans).
 double TraceNowUs();
 
-/// Wall-clock stopwatch (successor of skyex::eval::Stopwatch); see
-/// obs/stopwatch.h for the definition.
-
 }  // namespace skyex::obs
 
 #define SKYEX_OBS_CONCAT_INNER(a, b) a##b

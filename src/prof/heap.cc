@@ -152,16 +152,6 @@ void AccountFree(Phase zone, size_t bytes) {
   cell.frees.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ResetHeapStatsForTest() {
-  for (ZoneCell& cell : g_zones) {
-    cell.alloc_bytes.store(0, std::memory_order_relaxed);
-    cell.freed_bytes.store(0, std::memory_order_relaxed);
-    cell.allocs.store(0, std::memory_order_relaxed);
-    cell.frees.store(0, std::memory_order_relaxed);
-    cell.peak_live.store(0, std::memory_order_relaxed);
-  }
-}
-
 uint8_t SetThreadHeapZone(uint8_t zone) {
   const uint8_t prev = t_zone;
   t_zone = zone < kPhaseCount ? zone : 0;

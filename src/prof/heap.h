@@ -92,7 +92,6 @@ namespace internal {
 // where the real hooks are stripped.
 void AccountAlloc(Phase zone, size_t bytes);
 void AccountFree(Phase zone, size_t bytes);
-void ResetHeapStatsForTest();
 // Installs the calling thread's allocation zone, returning the
 // previous one. HeapZone and prof::PhaseScope route through this.
 uint8_t SetThreadHeapZone(uint8_t zone);

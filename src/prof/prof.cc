@@ -43,7 +43,6 @@ const char* const kPhaseNames[kPhaseCount] = {
 // Handler-visible state. File-scope atomics (not class members) so the
 // signal handler touches nothing that could require construction.
 std::atomic<bool> g_running{false};
-std::atomic<uint64_t> g_phase_samples[kPhaseCount];
 
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -166,9 +165,6 @@ struct ProfRegistry {
   // drops their final drains found, folded into the next Drain().
   std::vector<Sample> retired;
   uint64_t retired_window_dropped = 0;
-  // Lifetime counts of exited threads' rings.
-  uint64_t retired_total = 0;
-  uint64_t retired_dropped = 0;
   bool handler_installed = false;
   std::chrono::steady_clock::time_point window_start =
       std::chrono::steady_clock::now();
@@ -204,12 +200,10 @@ extern "C" void skyex_prof_sigprof_handler(int, siginfo_t*, void*) {
   const int depth =
       ::backtrace(sample.frames, static_cast<int>(Sample::kMaxFrames));
   sample.depth = depth > 0 ? static_cast<uint32_t>(depth) : 0;
-  const uint8_t phase = state->phase.load(std::memory_order_relaxed);
-  sample.phase = static_cast<Phase>(phase);
+  sample.phase =
+      static_cast<Phase>(state->phase.load(std::memory_order_relaxed));
   sample.request_id = state->request_id.load(std::memory_order_relaxed);
   ring->Write(sample);
-  g_phase_samples[phase < kPhaseCount ? phase : 0].fetch_add(
-      1, std::memory_order_relaxed);
   errno = saved_errno;
 }
 
@@ -314,8 +308,6 @@ struct ThreadRegistrar {
     if (SampleRing* ring = state->ring.load(std::memory_order_relaxed)) {
       registry.retired.reserve(registry.retired.size() + 64);
       registry.retired_window_dropped += ring->Drain(&registry.retired);
-      registry.retired_total += ring->total();
-      registry.retired_dropped += ring->dropped();
     }
     registry.threads.erase(
         std::remove(registry.threads.begin(), registry.threads.end(), state),
@@ -454,43 +446,6 @@ Profile CpuProfiler::Drain() {
 }
 
 void CpuProfiler::DiscardPending() { (void)Drain(); }
-
-std::array<uint64_t, kPhaseCount> CpuProfiler::PhaseSamples() const {
-  std::array<uint64_t, kPhaseCount> counts{};
-  for (size_t i = 0; i < kPhaseCount; ++i) {
-    counts[i] = g_phase_samples[i].load(std::memory_order_relaxed);
-  }
-  return counts;
-}
-
-uint64_t CpuProfiler::total_samples() const {
-  ProfRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  uint64_t total = registry.retired_total;
-  for (ThreadState* state : registry.threads) {
-    const SampleRing* ring = state->ring.load(std::memory_order_relaxed);
-    if (ring != nullptr) total += ring->total();
-  }
-  return total;
-}
-
-uint64_t CpuProfiler::total_dropped() const {
-  ProfRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  uint64_t total = registry.retired_dropped;
-  for (ThreadState* state : registry.threads) {
-    const SampleRing* ring = state->ring.load(std::memory_order_relaxed);
-    if (ring != nullptr) total += ring->dropped();
-  }
-  return total;
-}
-
-void CpuProfiler::ResetForTest() {
-  DiscardPending();
-  for (auto& counter : g_phase_samples) {
-    counter.store(0, std::memory_order_relaxed);
-  }
-}
 
 // --- symbolization + export -------------------------------------------
 

@@ -137,8 +137,7 @@ struct Profile {
   std::array<uint64_t, kPhaseCount> phase_samples{};
   uint64_t samples = 0;
   // Samples this window lost: overwritten before this Drain read them,
-  // or rewritten while it copied them. CpuProfiler::total_dropped()
-  // keeps the lifetime count.
+  // or rewritten while it copied them.
   uint64_t dropped = 0;
   double wall_seconds = 0.0;
   int hz = 0;
@@ -178,15 +177,6 @@ class CpuProfiler {
 
   /// Discards all unread samples — the start of a collection window.
   void DiscardPending();
-
-  /// Lifetime per-phase sample counts (advanced by the handler,
-  /// survive Drain; reset by ResetForTest).
-  std::array<uint64_t, kPhaseCount> PhaseSamples() const;
-
-  uint64_t total_samples() const;
-  uint64_t total_dropped() const;
-
-  void ResetForTest();
 
   CpuProfiler(const CpuProfiler&) = delete;
   CpuProfiler& operator=(const CpuProfiler&) = delete;

@@ -227,7 +227,6 @@ bool AuditWriter::Open(const AuditWriterOptions& options,
                        const AuditLogHeader& header, std::string* error) {
   Close();
   options_ = options;
-  if (options_.sample_every == 0) options_.sample_every = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   stream_.open(options_.path, std::ios::binary | std::ios::trunc);
   if (!stream_) {
@@ -241,20 +240,10 @@ bool AuditWriter::Open(const AuditWriterOptions& options,
   stream_.flush();
   closing_ = false;
   writing_ = false;
-  attempts_.store(0, std::memory_order_relaxed);
-  sampled_.store(0, std::memory_order_relaxed);
   written_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   writer_ = std::thread(&AuditWriter::WriterLoop, this);
   open_.store(true, std::memory_order_release);
-  return true;
-}
-
-bool AuditWriter::ShouldSample() {
-  if (!open()) return false;
-  const uint64_t n = attempts_.fetch_add(1, std::memory_order_relaxed);
-  if (n % options_.sample_every != 0) return false;
-  sampled_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -126,7 +126,8 @@ bool ReadAuditLog(const std::string& path, AuditLogHeader* header,
 
 struct AuditWriterOptions {
   std::string path;
-  /// Entity-level decimation: capture every Nth link attempt (1 = all).
+  /// Entity-level decimation: Runtime::ShouldCapture (quality/quality.h)
+  /// captures every Nth link attempt (1 = all; 0 reads as 1).
   uint64_t sample_every = 1;
   /// Bounded hand-off queue to the writer thread; records arriving at a
   /// full queue are dropped (and counted) rather than blocking the
@@ -136,7 +137,7 @@ struct AuditWriterOptions {
 
 /// Asynchronous audit-log writer: producers enqueue records under a
 /// short lock, a dedicated thread serializes and appends them. Open /
-/// Close bracket a log file; Append and ShouldSample are thread-safe.
+/// Close bracket a log file; Append is thread-safe.
 class AuditWriter {
  public:
   AuditWriter() = default;
@@ -149,11 +150,6 @@ class AuditWriter {
 
   bool open() const { return open_.load(std::memory_order_acquire); }
 
-  /// Counts a link attempt and decides whether to capture it. The
-  /// decimation is deterministic (every sample_every-th attempt), so a
-  /// run with --audit-sample=1 logs every decision.
-  bool ShouldSample();
-
   /// Enqueues a record for the writer thread; drops (and counts) when
   /// the queue is full or the writer is closed. Never blocks on I/O.
   void Append(AuditRecord record);
@@ -165,12 +161,9 @@ class AuditWriter {
   /// Flush + join + close. Idempotent; the destructor calls it.
   void Close();
 
-  uint64_t attempts() const { return attempts_.load(std::memory_order_relaxed); }
-  uint64_t sampled() const { return sampled_.load(std::memory_order_relaxed); }
   uint64_t written() const { return written_.load(std::memory_order_relaxed); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   const std::string& path() const { return options_.path; }
-  uint64_t sample_every() const { return options_.sample_every; }
 
   AuditWriter(const AuditWriter&) = delete;
   AuditWriter& operator=(const AuditWriter&) = delete;
@@ -180,8 +173,6 @@ class AuditWriter {
 
   AuditWriterOptions options_;
   std::atomic<bool> open_{false};
-  std::atomic<uint64_t> attempts_{0};
-  std::atomic<uint64_t> sampled_{0};
   std::atomic<uint64_t> written_{0};
   std::atomic<uint64_t> dropped_{0};
 

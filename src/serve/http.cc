@@ -72,9 +72,7 @@ bool ParseHeaderBlock(std::string_view block, std::string* first_line,
 /// `buffer` with `*headers_end` just past the "\r\n\r\n".
 ReadStatus ReadMessage(int fd, std::string* buffer, size_t* headers_end,
                        const HttpReadOptions& options,
-                       size_t* content_length,
-                       const std::map<std::string, std::string>** unused) {
-  (void)unused;
+                       size_t* content_length) {
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(options.timeout_ms);
   char chunk[8192];
@@ -168,7 +166,7 @@ ReadStatus ReadHttpRequest(int fd, HttpRequest* out, std::string* leftover,
   size_t headers_end = 0;
   size_t body_len = 0;
   const ReadStatus status =
-      ReadMessage(fd, &buffer, &headers_end, options, &body_len, nullptr);
+      ReadMessage(fd, &buffer, &headers_end, options, &body_len);
   if (status != ReadStatus::kOk) return status;
 
   std::string request_line;
@@ -273,8 +271,8 @@ std::optional<HttpResponse> HttpClient::Request(
   options.max_body = 64 << 20;
   size_t headers_end = 0;
   size_t body_len = 0;
-  if (ReadMessage(fd_.get(), &buffer, &headers_end, options, &body_len,
-                  nullptr) != ReadStatus::kOk) {
+  if (ReadMessage(fd_.get(), &buffer, &headers_end, options, &body_len) !=
+      ReadStatus::kOk) {
     fd_.Reset();
     return std::nullopt;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "text/scratch.h"
 
@@ -68,23 +67,6 @@ size_t DamerauLevenshteinDistance(std::string_view a, std::string_view b) {
   return prev[b.size()];
 }
 
-size_t LongestCommonSubsequence(std::string_view a, std::string_view b) {
-  if (a.empty() || b.empty()) return 0;
-  std::vector<size_t> prev(b.size() + 1, 0);
-  std::vector<size_t> cur(b.size() + 1, 0);
-  for (size_t i = 1; i <= a.size(); ++i) {
-    for (size_t j = 1; j <= b.size(); ++j) {
-      if (a[i - 1] == b[j - 1]) {
-        cur[j] = prev[j - 1] + 1;
-      } else {
-        cur[j] = std::max(prev[j], cur[j - 1]);
-      }
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
-
 namespace {
 
 double NormalizedSimilarity(size_t distance, size_t len_a, size_t len_b) {
@@ -102,13 +84,6 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
 double DamerauLevenshteinSimilarity(std::string_view a, std::string_view b) {
   return NormalizedSimilarity(DamerauLevenshteinDistance(a, b), a.size(),
                               b.size());
-}
-
-double LcsSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  return 2.0 * static_cast<double>(LongestCommonSubsequence(a, b)) /
-         static_cast<double>(a.size() + b.size());
 }
 
 }  // namespace skyex::text

@@ -14,17 +14,11 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b);
 /// that no substring is edited more than once.
 size_t DamerauLevenshteinDistance(std::string_view a, std::string_view b);
 
-/// Length of the longest common subsequence.
-size_t LongestCommonSubsequence(std::string_view a, std::string_view b);
-
 /// 1 - distance / max(|a|, |b|), in [0, 1]. Two empty strings → 1.
 double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
 /// Normalized Damerau-Levenshtein similarity, same convention as above.
 double DamerauLevenshteinSimilarity(std::string_view a, std::string_view b);
-
-/// LCS-based similarity: 2·LCS / (|a| + |b|).
-double LcsSimilarity(std::string_view a, std::string_view b);
 
 }  // namespace skyex::text
 

@@ -125,14 +125,15 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   return (m / len_a + m / len_b + (m - transpositions / 2.0) / m) / 3.0;
 }
 
-double JaroWinklerSimilarity(std::string_view a, std::string_view b,
-                             double prefix_scale, double boost_threshold) {
+double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
+  constexpr double kPrefixScale = 0.1;
+  constexpr double kBoostThreshold = 0.7;
   const double jaro = JaroSimilarity(a, b);
-  if (jaro < boost_threshold) return jaro;
+  if (jaro < kBoostThreshold) return jaro;
   size_t prefix = 0;
   const size_t max_prefix = std::min({a.size(), b.size(), size_t{4}});
   while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
-  return jaro + prefix * prefix_scale * (1.0 - jaro);
+  return jaro + prefix * kPrefixScale * (1.0 - jaro);
 }
 
 double ReversedJaroWinklerSimilarity(std::string_view a, std::string_view b) {
@@ -167,12 +168,6 @@ double PermutedJaroWinklerSimilarity(std::string_view a, std::string_view b,
     best = std::max(best, JaroWinklerSimilarity(s.perm_joined, b));
   } while (std::next_permutation(s.perm_tokens.begin(), s.perm_tokens.end()));
   return best;
-}
-
-double TunedJaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  // Larger prefix reward, applied unconditionally (boost threshold 0).
-  return JaroWinklerSimilarity(a, b, /*prefix_scale=*/0.17,
-                               /*boost_threshold=*/0.0);
 }
 
 }  // namespace skyex::text

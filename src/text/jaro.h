@@ -8,12 +8,10 @@ namespace skyex::text {
 /// Jaro similarity in [0, 1]. Two empty strings → 1.
 double JaroSimilarity(std::string_view a, std::string_view b);
 
-/// Jaro-Winkler similarity with the standard prefix scale 0.1 and prefix
-/// length cap 4. `prefix_scale` can be overridden (the "tuned" variant of
-/// Santos et al. uses a different scale).
-double JaroWinklerSimilarity(std::string_view a, std::string_view b,
-                             double prefix_scale = 0.1,
-                             double boost_threshold = 0.7);
+/// Jaro-Winkler similarity with the standard prefix scale 0.1, prefix
+/// length cap 4 and boost threshold 0.7: a Jaro score below 0.7 is
+/// returned unboosted.
+double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 
 /// Jaro-Winkler computed on the reversed strings — rewards common suffixes
 /// instead of common prefixes.
@@ -27,10 +25,6 @@ double SortedJaroWinklerSimilarity(std::string_view a, std::string_view b);
 /// variant, like the reference implementation of Santos et al.).
 double PermutedJaroWinklerSimilarity(std::string_view a, std::string_view b,
                                      size_t max_tokens = 6);
-
-/// The "tuned" Jaro-Winkler of Santos et al.: a larger prefix weight and no
-/// boost threshold, favouring toponyms that share word beginnings.
-double TunedJaroWinklerSimilarity(std::string_view a, std::string_view b);
 
 }  // namespace skyex::text
 

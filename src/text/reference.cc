@@ -83,12 +83,6 @@ double PermutedJaroWinklerSimilarity(std::string_view a, std::string_view b,
   return best;
 }
 
-double TunedJaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  // Larger prefix reward, applied unconditionally (boost threshold 0).
-  return JaroWinklerSimilarity(a, b, /*prefix_scale=*/0.17,
-                               /*boost_threshold=*/0.0);
-}
-
 size_t LevenshteinDistance(std::string_view a, std::string_view b) {
   if (a.empty()) return b.size();
   if (b.empty()) return a.size();

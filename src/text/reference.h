@@ -27,7 +27,6 @@ double ReversedJaroWinklerSimilarity(std::string_view a, std::string_view b);
 double SortedJaroWinklerSimilarity(std::string_view a, std::string_view b);
 double PermutedJaroWinklerSimilarity(std::string_view a, std::string_view b,
                                      size_t max_tokens = 6);
-double TunedJaroWinklerSimilarity(std::string_view a, std::string_view b);
 
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 size_t DamerauLevenshteinDistance(std::string_view a, std::string_view b);

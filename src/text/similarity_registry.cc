@@ -11,10 +11,6 @@ namespace skyex::text {
 
 namespace {
 
-double JaroWinklerDefault(std::string_view a, std::string_view b) {
-  return JaroWinklerSimilarity(a, b);
-}
-
 double PermutedJaroWinklerDefault(std::string_view a, std::string_view b) {
   return PermutedJaroWinklerSimilarity(a, b);
 }
@@ -69,7 +65,7 @@ const std::vector<NamedSimilarity>& BasicTable(KernelImpl impl) {
       {"levenshtein", LevenshteinSimilarity},
       {"damerau_levenshtein", DamerauLevenshteinSimilarity},
       {"jaro", JaroSimilarity},
-      {"jaro_winkler", JaroWinklerDefault},
+      {"jaro_winkler", JaroWinklerSimilarity},
       {"jaro_winkler_reversed", ReversedJaroWinklerSimilarity},
       {"jaro_winkler_sorted", SortedJaroWinklerSimilarity},
       {"jaro_winkler_permuted", PermutedJaroWinklerDefault},

@@ -5,7 +5,6 @@
 #include "blocking/blockers.h"
 #include "data/northdk_generator.h"
 #include "geo/distance.h"
-#include "geo/geohash.h"
 #include "geo/quadflex.h"
 
 namespace skyex::blocking {
@@ -199,53 +198,3 @@ TEST(EvaluateBlockingTest, DoubleCountedPairsSubtractedOnce) {
 
 }  // namespace
 }  // namespace skyex::blocking
-
-// --------------------------------------------------------------- Geohash
-
-namespace skyex::geo {
-namespace {
-
-TEST(Geohash, KnownReferenceValue) {
-  // The canonical example: (42.605, -5.603) → "ezs42".
-  EXPECT_EQ(GeohashEncode(GeoPoint{42.605, -5.603, true}, 5), "ezs42");
-}
-
-TEST(Geohash, DecodeIsInsideCell) {
-  const GeoPoint p{57.048, 9.919, true};
-  for (size_t precision : {4u, 6u, 8u}) {
-    const std::string hash = GeohashEncode(p, precision);
-    const BoundingBox box = GeohashBounds(hash);
-    EXPECT_TRUE(box.Contains(p)) << hash;
-    const GeoPoint center = GeohashDecode(hash);
-    EXPECT_TRUE(box.Contains(center));
-  }
-}
-
-TEST(Geohash, InvalidInputs) {
-  EXPECT_EQ(GeohashEncode(GeoPoint::Invalid(), 6), "");
-  EXPECT_FALSE(GeohashDecode("").valid);
-}
-
-TEST(Geohash, NeighborsSurroundTheCell) {
-  const std::string hash =
-      GeohashEncode(GeoPoint{57.048, 9.919, true}, 6);
-  const auto neighbors = GeohashNeighbors(hash);
-  EXPECT_EQ(neighbors.size(), 8u);
-  for (const std::string& n : neighbors) {
-    EXPECT_EQ(n.size(), hash.size());
-    EXPECT_NE(n, hash);
-  }
-}
-
-TEST(Geohash, CellSizeShrinksWithPrecision) {
-  double previous = 1e12;
-  for (size_t precision = 1; precision <= 8; ++precision) {
-    const auto [w, h] = GeohashCellSizeMeters(precision, 57.0);
-    EXPECT_LT(w, previous);
-    previous = w;
-    EXPECT_GT(h, 0.0);
-  }
-}
-
-}  // namespace
-}  // namespace skyex::geo

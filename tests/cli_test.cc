@@ -11,6 +11,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/linker.h"
@@ -22,6 +23,7 @@
 #include "eval/sampling.h"
 #include "features/lgm_x.h"
 #include "geo/quadflex.h"
+#include "obs/json.h"
 
 #ifndef SKYEX_CLI_PATH
 #define SKYEX_CLI_PATH "build/tools/skyex"
@@ -303,6 +305,55 @@ TEST_F(CliTest, TrainFractionOutsideTheUnitIntervalIsRefused) {
     }
     EXPECT_EQ(RunCli(command + " --train-fraction=1"), 0) << command;
   }
+}
+
+// prefilter-eval prints its thresholds into JSON, so each must be a
+// finite number; a bad item (or an empty list) is a usage error that
+// names the item. The first bad item of a list is the one named.
+TEST_F(CliTest, PrefilterEvalThresholdsMustBeFinite) {
+  ASSERT_EQ(RunCli("generate --dataset=northdk --entities=300 --seed=3 "
+                   "--out=" + entities_),
+            0);
+  const std::string command = "prefilter-eval --in=" + entities_;
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"nan,abc,-1,1e400,0.1", "'nan'"}, {"0.1,abc", "'abc'"},
+      {"1e400", "'1e400'"},              {"0,inf", "'inf'"},
+      {"-inf", "'-inf'"},                {"0.1,0.2x", "'0.2x'"}};
+  for (const auto& [list, item] : refused) {
+    std::string log;
+    const int status = RunCliLogging(command + " --thresholds=" + list, &log);
+    ASSERT_TRUE(WIFEXITED(status)) << list;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << list;
+    EXPECT_NE(log.find("error: invalid value " + item +
+                       " in --thresholds (expected a finite number)"),
+              std::string::npos)
+        << list << ": " << log;
+  }
+  for (const std::string empty : {"", ","}) {
+    std::string log;
+    const int status = RunCliLogging(command + " --thresholds=" + empty, &log);
+    ASSERT_TRUE(WIFEXITED(status)) << empty;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << empty;
+    EXPECT_NE(log.find("error: --thresholds has no values"),
+              std::string::npos)
+        << log;
+  }
+
+  const std::string out_path = TempPath("cli_prefilter_eval_stdout.json");
+  const std::string run = std::string(SKYEX_CLI_PATH) + " " + command +
+                          " --thresholds=0,0.1 > " + out_path +
+                          " 2> /dev/null";
+  const int status = std::system(run.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::string error;
+  const auto doc = skyex::obs::json::Parse(ReadFile(out_path), &error);
+  std::remove(out_path.c_str());
+  ASSERT_TRUE(doc.has_value()) << error;
+  const skyex::obs::json::Value* thresholds = doc->Find("thresholds");
+  ASSERT_NE(thresholds, nullptr);
+  ASSERT_TRUE(thresholds->is_array());
+  EXPECT_EQ(thresholds->array_v.size(), 2u);
 }
 
 // A world without pairs (one record) trains on none and links each

@@ -6,7 +6,6 @@
 
 #include "eval/metrics.h"
 #include "eval/sampling.h"
-#include "eval/stopwatch.h"
 
 namespace skyex::eval {
 namespace {
@@ -93,15 +92,6 @@ TEST(Sampling, DeterministicBySeed) {
   const auto b = DisjointTrainingSplits(500, 0.1, 3, 7);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a[1].train, b[1].train);
-}
-
-TEST(Stopwatch, MeasuresElapsedTime) {
-  Stopwatch sw;
-  // Just sanity: time is non-negative and monotone.
-  const double t1 = sw.ElapsedSeconds();
-  const double t2 = sw.ElapsedSeconds();
-  EXPECT_GE(t1, 0.0);
-  EXPECT_GE(t2, t1);
 }
 
 }  // namespace

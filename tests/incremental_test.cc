@@ -1,59 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "core/skyex_t.h"
 #include "eval/sampling.h"
-#include "skyline/topk.h"
-
-namespace skyex::skyline {
-namespace {
-
-ml::FeatureMatrix MatrixOf(std::vector<std::vector<double>> rows) {
-  ml::FeatureMatrix m;
-  m.rows = rows.size();
-  m.cols = rows.empty() ? 0 : rows[0].size();
-  for (size_t c = 0; c < m.cols; ++c) m.names.push_back("f");
-  for (const auto& row : rows) {
-    m.values.insert(m.values.end(), row.begin(), row.end());
-  }
-  return m;
-}
-
-TEST(TopK, ReturnsWholeLayersThenTruncatesByKey) {
-  const ml::FeatureMatrix m = MatrixOf({
-      {0.9, 0.9},   // layer 1
-      {0.8, 0.2},   // layer 2 (low sum)
-      {0.2, 0.85},  // layer 2 (higher sum)
-      {0.1, 0.1},   // layer 3
-  });
-  std::vector<std::unique_ptr<Preference>> leaves;
-  leaves.push_back(High(0));
-  leaves.push_back(High(1));
-  const auto p = ParetoOf(std::move(leaves));
-
-  const auto top2 = TopPreferred(m, {0, 1, 2, 3}, *p, 2);
-  ASSERT_EQ(top2.size(), 2u);
-  EXPECT_EQ(top2[0], 0u);
-  EXPECT_EQ(top2[1], 2u);  // the layer-2 member with the larger key
-
-  const auto top3 = TopPreferred(m, {0, 1, 2, 3}, *p, 3);
-  EXPECT_EQ(top3, (std::vector<size_t>{0, 2, 1}));
-}
-
-TEST(TopK, EdgeCases) {
-  const ml::FeatureMatrix m = MatrixOf({{0.5}, {0.4}});
-  const auto p = High(0);
-  EXPECT_TRUE(TopPreferred(m, {0, 1}, *p, 0).empty());
-  EXPECT_EQ(TopPreferred(m, {0, 1}, *p, 10).size(), 2u);
-  EXPECT_TRUE(TopPreferred(m, {}, *p, 3).empty());
-}
-
-}  // namespace
-}  // namespace skyex::skyline
 
 namespace skyex::core {
 namespace {

@@ -37,10 +37,7 @@ std::vector<KernelPair> KernelPairs() {
       {"damerau_levenshtein", text::DamerauLevenshteinSimilarity,
        text::reference::DamerauLevenshteinSimilarity},
       {"jaro", text::JaroSimilarity, text::reference::JaroSimilarity},
-      {"jaro_winkler",
-       [](std::string_view a, std::string_view b) {
-         return text::JaroWinklerSimilarity(a, b);
-       },
+      {"jaro_winkler", text::JaroWinklerSimilarity,
        [](std::string_view a, std::string_view b) {
          return text::reference::JaroWinklerSimilarity(a, b);
        }},
@@ -55,8 +52,6 @@ std::vector<KernelPair> KernelPairs() {
        [](std::string_view a, std::string_view b) {
          return text::reference::PermutedJaroWinklerSimilarity(a, b);
        }},
-      {"jaro_winkler_tuned", text::TunedJaroWinklerSimilarity,
-       text::reference::TunedJaroWinklerSimilarity},
       {"cosine_bigrams",
        [](std::string_view a, std::string_view b) {
          return text::CosineNgramSimilarity(a, b, 2);

@@ -6,7 +6,6 @@
 #include "lgm/frequent_terms.h"
 #include "lgm/lgm_sim.h"
 #include "lgm/list_split.h"
-#include "lgm/weight_search.h"
 #include "text/edit_distance.h"
 #include "text/jaro.h"
 
@@ -157,28 +156,6 @@ TEST(LgmSim, CustomSortedScoreNeverHurts) {
       sim.CustomSortedScore("perla bella", "bella perla",
                             text::DamerauLevenshteinSimilarity);
   EXPECT_GE(sorted, raw);
-}
-
-// ----------------------------------------------------------- Weight search
-
-TEST(WeightSearch, FindsSeparatingConfiguration) {
-  std::vector<LabeledStringPair> pairs;
-  // Matches: typo'd duplicates. Non-matches: different names.
-  pairs.push_back({"cafe amelie", "cafe amelia", true});
-  pairs.push_back({"restaurant perla", "restaurant pearla", true});
-  pairs.push_back({"grill hjoernet", "grill hjornet", true});
-  pairs.push_back({"bager jensen", "bager jense", true});
-  pairs.push_back({"cafe amelie", "bodega klitten", false});
-  pairs.push_back({"restaurant perla", "pizzeria roma", false});
-  pairs.push_back({"grill hjoernet", "salon vita", false});
-  pairs.push_back({"bager jensen", "kiosk parkvej", false});
-
-  const WeightSearchResult result = SearchWeights(
-      pairs, TypeWordDict(), text::DamerauLevenshteinSimilarity);
-  EXPECT_GT(result.f1, 0.99);
-  EXPECT_NEAR(result.config.base_weight + result.config.mismatch_weight +
-                  result.config.frequent_weight,
-              1.0, 1e-9);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ class ProfTest : public ::testing::Test {
  protected:
   void TearDown() override {
     prof::CpuProfiler::Global().Stop();
-    prof::CpuProfiler::Global().ResetForTest();
+    prof::CpuProfiler::Global().DiscardPending();
   }
 };
 

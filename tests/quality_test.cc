@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -268,7 +269,6 @@ TEST(AuditWriterTest, WritesReadableLogWithCounters) {
   const std::string path = TempPath("skyex_quality_writer.bin");
   AuditWriterOptions options;
   options.path = path;
-  options.sample_every = 2;
   AuditLogHeader header;
   header.feature_count = 4;
   header.model_hash = 0xabcdull;
@@ -278,19 +278,13 @@ TEST(AuditWriterTest, WritesReadableLogWithCounters) {
   ASSERT_TRUE(writer.Open(options, header, &error)) << error;
   EXPECT_TRUE(writer.open());
 
-  int captured = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (writer.ShouldSample()) {
-      writer.Append(MakeRecord(static_cast<uint64_t>(i)));
-      ++captured;
-    }
+  // Every second record of ten, as a sample_every = 2 runtime captures.
+  for (int i = 0; i < 10; i += 2) {
+    writer.Append(MakeRecord(static_cast<uint64_t>(i)));
   }
   writer.Flush();
-  EXPECT_EQ(writer.attempts(), 10u);
-  EXPECT_EQ(writer.sampled(), static_cast<uint64_t>(captured));
-  EXPECT_EQ(writer.written(), static_cast<uint64_t>(captured));
+  EXPECT_EQ(writer.written(), 5u);
   EXPECT_EQ(writer.dropped(), 0u);
-  EXPECT_EQ(captured, 5);  // every 2nd of 10
   writer.Close();
   EXPECT_FALSE(writer.open());
   writer.Close();  // idempotent
@@ -308,7 +302,6 @@ TEST(AuditWriterTest, WritesReadableLogWithCounters) {
 
 TEST(AuditWriterTest, ClosedWriterDropsAndCounts) {
   AuditWriter writer;
-  EXPECT_FALSE(writer.ShouldSample());
   writer.Append(MakeRecord(1));
   EXPECT_EQ(writer.dropped(), 1u);
 }
@@ -676,6 +669,37 @@ TEST(QualityRuntimeTest, EnableRefusesMismatchedProfileHash) {
                               matrix.names, &error));
   EXPECT_NE(error.find("built for model"), std::string::npos) << error;
   EXPECT_FALSE(runtime.enabled());
+}
+
+// --audit-sample=N: the runtime captures every Nth link attempt,
+// starting with the first, and counts every attempt.
+TEST(QualityRuntimeTest, SamplesEveryNthAttempt) {
+  Runtime& runtime = Runtime::Global();
+  runtime.Disable();
+
+  QualityOptions options;
+  options.audit.path = TempPath("skyex_quality_rt_sampled.bin");
+  options.audit.sample_every = 2;
+  std::string error;
+  ASSERT_TRUE(runtime.Enable(options, "skyex test model text\n", 3, {},
+                             &error))
+      << error;
+
+  std::vector<int> captured;
+  for (int i = 0; i < 10; ++i) {
+    MatchCapture capture;
+    if (runtime.ShouldCapture(&capture)) {
+      EXPECT_TRUE(capture.audit);
+      captured.push_back(i);
+    }
+  }
+  EXPECT_EQ(captured, (std::vector<int>{0, 2, 4, 6, 8}));
+  const Runtime::Snapshot snap = runtime.snapshot();
+  EXPECT_EQ(snap.sample_every, 2u);
+  EXPECT_EQ(snap.attempts, 10u);
+  EXPECT_EQ(snap.sampled, 5u);
+  runtime.Disable();
+  std::remove(options.audit.path.c_str());
 }
 
 TEST(QualityRuntimeTest, DisabledRuntimeIsInert) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "geo/geohash.h"
 #include "ml/mlp.h"
 #include "ml/gradient_boosting.h"
 #include "text/edit_distance.h"
@@ -89,22 +88,6 @@ TEST_P(EditDistancePropertyTest, JaroSymmetricAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EditDistancePropertyTest,
                          ::testing::Range(0, 4));
-
-// ------------------------------------------------ Geohash round trips
-
-TEST(GeohashProperty, EncodeDecodeStaysInCell) {
-  std::mt19937_64 rng(9);
-  std::uniform_real_distribution<double> lat(-89.0, 89.0);
-  std::uniform_real_distribution<double> lon(-179.0, 179.0);
-  for (int trial = 0; trial < 500; ++trial) {
-    const geo::GeoPoint p{lat(rng), lon(rng), true};
-    const std::string hash = geo::GeohashEncode(p, 8);
-    ASSERT_EQ(hash.size(), 8u);
-    EXPECT_TRUE(geo::GeohashBounds(hash).Contains(p));
-    // Re-encoding the decoded center reproduces the hash.
-    EXPECT_EQ(geo::GeohashEncode(geo::GeohashDecode(hash), 8), hash);
-  }
-}
 
 // ----------------------------------------- MLP gradient sanity (loss ↓)
 

@@ -3,8 +3,6 @@
 // Jaccard, determinism, and — further down — the serving-path pin that
 // --prefilter-threshold=0 is bit-identical to no pre-filter at all.
 
-#include <algorithm>
-#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -149,59 +147,6 @@ TEST(EntitySketchTest, PairEstimateTakesBestAttributeAndIsRecallSafe) {
   EntitySketch blank{BuildTokenSketch(""), BuildTokenSketch("")};
   EXPECT_EQ(EstimatePair(both_full, blank), 1.0);
   EXPECT_EQ(EstimatePair(blank, blank), 1.0);
-}
-
-// --------------------------------------------------- Batch pre-filter pin
-
-data::SpatialEntity MakeSketchEntity(const std::string& name,
-                                     const std::string& street, int number,
-                                     double lat, double lon) {
-  data::SpatialEntity e;
-  e.name = name;
-  e.address_name = street;
-  e.address_number = number;
-  e.location = geo::GeoPoint{lat, lon, true};
-  return e;
-}
-
-TEST(PrefilterBatchTest, ThresholdZeroReturnsInputUnchanged) {
-  data::Dataset dataset;
-  dataset.entities.push_back(
-      MakeSketchEntity("Cafe Noir", "Vestergade", 12, 57.0, 9.9));
-  dataset.entities.push_back(
-      MakeSketchEntity("Cafe Noire", "Vestergade", 12, 57.0001, 9.9));
-  dataset.entities.push_back(
-      MakeSketchEntity("Burger Palace", "Algade", 7, 57.0, 9.9002));
-  dataset.entities.push_back(
-      MakeSketchEntity("Frisor Klip", "Boulevarden", 31, 57.0002, 9.9));
-  const features::LgmXExtractor extractor =
-      features::LgmXExtractor::FromCorpus(dataset);
-  const std::vector<geo::CandidatePair> pairs = {{0, 1}, {0, 2}, {1, 3},
-                                                 {2, 3}};
-
-  // Threshold 0 (and below) must hand the input back untouched — the
-  // batch half of the --prefilter-threshold=0 bit-identity guarantee.
-  size_t dropped = 123;
-  EXPECT_EQ(extractor.PrefilterPairs(dataset, pairs, 0.0, &dropped), pairs);
-  EXPECT_EQ(dropped, 0u);
-  dropped = 123;
-  EXPECT_EQ(extractor.PrefilterPairs(dataset, pairs, -1.0, &dropped), pairs);
-  EXPECT_EQ(dropped, 0u);
-
-  // A real threshold keeps an order-preserving subsequence, accounts for
-  // every discarded pair, keeps the near-duplicate, and drops unrelated
-  // neighbors.
-  const auto kept = extractor.PrefilterPairs(dataset, pairs, 0.35, &dropped);
-  EXPECT_EQ(dropped, pairs.size() - kept.size());
-  EXPECT_GT(dropped, 0u);
-  size_t cursor = 0;
-  for (const geo::CandidatePair& p : kept) {
-    while (cursor < pairs.size() && pairs[cursor] != p) ++cursor;
-    ASSERT_LT(cursor, pairs.size()) << "kept pair not an input subsequence";
-    ++cursor;
-  }
-  EXPECT_NE(std::find(kept.begin(), kept.end(), geo::CandidatePair{0, 1}),
-            kept.end());
 }
 
 // -------------------------------------------------- Serving pipeline pin

@@ -48,6 +48,40 @@ if(NOT rc EQUAL 0)
   serve_smoke_fail("train failed (${rc})")
 endif()
 
+# Double flags out of range (NaN and infinities included) must be
+# refused with exit 2 and the range message before the server reads the
+# model or the dataset. The TIMEOUT makes a server that boots on such a
+# value fail this check instead of hanging it.
+foreach(flag radius-m=nan radius-m=-5 radius-m=0 radius-m=inf
+             calibration-percentile=nan calibration-percentile=-0.1
+             calibration-percentile=1.5 prefilter-threshold=nan
+             prefilter-threshold=inf breaker-threshold=nan
+             psi-threshold=-inf ks-threshold=nan)
+  string(REGEX MATCH "^([a-z-]+)=(.*)$" unused "${flag}")
+  set(name "${CMAKE_MATCH_1}")
+  set(value "${CMAKE_MATCH_2}")
+  if(name STREQUAL "radius-m")
+    set(expected "a finite number > 0")
+  elseif(name STREQUAL "calibration-percentile")
+    set(expected "a number in [0, 1]")
+  else()
+    set(expected "a finite number")
+  endif()
+  execute_process(
+    COMMAND "${SKYEX_SERVE}" --model=${model_txt} --dataset=${entities_csv}
+            --port=0 --${flag}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 20)
+  if(NOT rc STREQUAL "2")
+    serve_smoke_fail("--${flag}: expected exit 2, got '${rc}'")
+  endif()
+  string(FIND "${err}"
+         "error: invalid value '${value}' for --${name} (expected ${expected})"
+         pos)
+  if(pos EQUAL -1)
+    serve_smoke_fail("--${flag}: no range message in: ${err}")
+  endif()
+endforeach()
+
 # Boot the server in the background on an ephemeral port; the bound
 # port lands in ${port_file} once it is accepting connections.
 execute_process(

@@ -18,7 +18,9 @@
 // Ground-truth labels come from the phone/website rule of the paper; for
 // hand-labeled data, put the shared identifier into the phone column.
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -348,18 +350,13 @@ int CmdLink(const Flags& flags) {
 // Sweeps the stage-1 sketch pre-filter over `thresholds` and reports,
 // per threshold, the candidate drop rate and the recall against the
 // pairs the model accepts: of the accepted pairs, how many survive the
-// filter. Pair estimates come from the same BuildTokenSketch /
-// EstimatePair calls LgmXExtractor::PrefilterPairs makes, so the curve
-// is exactly what --prefilter-threshold would do in production.
+// filter. Pair estimates come from the BuildTokenSketch / EstimatePair
+// calls the serving path's --prefilter-threshold makes, so the curve is
+// exactly what that flag would do in production.
 int CmdPrefilterEval(const Flags& flags) {
-  const auto loaded = LoadOrTrain(flags);
-  if (!loaded.has_value()) return 1;
-  const LoadedPipeline& p = loaded->pipeline;
-  const auto predicted = SkyExT::Label(
-      p.features, skyex::core::AllRows(p.pairs.size()), loaded->model);
-  size_t accepted = 0;
-  for (uint8_t v : predicted) accepted += v;
-
+  // Usage errors come before the model is loaded or trained. Each item
+  // must be a finite number: NaN or infinity would print tokens that
+  // JSON does not allow.
   std::vector<double> thresholds;
   {
     const std::string spec =
@@ -369,14 +366,31 @@ int CmdPrefilterEval(const Flags& flags) {
       size_t comma = spec.find(',', pos);
       if (comma == std::string::npos) comma = spec.size();
       const std::string item = spec.substr(pos, comma - pos);
-      if (!item.empty()) thresholds.push_back(std::atof(item.c_str()));
       pos = comma + 1;
+      if (item.empty()) continue;
+      const double value = std::strtod(item.c_str(), nullptr);
+      if (!skyex::tools::ValidDouble(item) || !std::isfinite(value)) {
+        std::fprintf(stderr,
+                     "error: invalid value '%s' in --thresholds (expected "
+                     "a finite number)\n",
+                     item.c_str());
+        return 2;
+      }
+      thresholds.push_back(value);
     }
     if (thresholds.empty()) {
       std::fprintf(stderr, "error: --thresholds has no values\n");
-      return 1;
+      return 2;
     }
   }
+
+  const auto loaded = LoadOrTrain(flags);
+  if (!loaded.has_value()) return 1;
+  const LoadedPipeline& p = loaded->pipeline;
+  const auto predicted = SkyExT::Label(
+      p.features, skyex::core::AllRows(p.pairs.size()), loaded->model);
+  size_t accepted = 0;
+  for (uint8_t v : predicted) accepted += v;
 
   // Per-pair overlap estimates, computed once: the sweep is then a scan.
   std::vector<skyex::features::EntitySketch> sketches(p.dataset.size());

@@ -15,6 +15,7 @@
 // Observability: all the usual flags (--trace-out, --metrics-out,
 // --log-level, --obs-summary); artifacts are written after the drain.
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <unistd.h>
@@ -170,6 +171,37 @@ int main(int argc, char** argv) {
        {"psi-threshold", FlagType::kDouble},
        {"ks-threshold", FlagType::kDouble}});
   if (!flags.has_value()) return Usage();
+  // The double flags are range-checked before the model or the dataset
+  // is read. NaN passes std::clamp and fails every comparison, so each
+  // test is written to fail on it.
+  {
+    struct DoubleCheck {
+      const char* name;
+      bool (*ok)(double);
+      const char* expected;
+    };
+    const auto finite = [](double v) { return std::isfinite(v); };
+    const DoubleCheck checks[] = {
+        {"radius-m", [](double v) { return std::isfinite(v) && v > 0.0; },
+         "a finite number > 0"},
+        {"calibration-percentile",
+         [](double v) { return v >= 0.0 && v <= 1.0; }, "a number in [0, 1]"},
+        {"prefilter-threshold", finite, "a finite number"},
+        {"breaker-threshold", finite, "a finite number"},
+        {"psi-threshold", finite, "a finite number"},
+        {"ks-threshold", finite, "a finite number"},
+    };
+    for (const DoubleCheck& check : checks) {
+      if (flags->Has(check.name) &&
+          !check.ok(flags->GetDouble(check.name, 0.0))) {
+        std::fprintf(stderr,
+                     "error: invalid value '%s' for --%s (expected %s)\n",
+                     flags->Get(check.name).c_str(), check.name,
+                     check.expected);
+        return 2;
+      }
+    }
+  }
   if (!skyex::tools::ObsSetup(*flags)) return 2;
   {
     std::string fault_error;
