@@ -19,11 +19,13 @@
 // both sketches. For strings with fewer than k distinct bigrams (most names
 // and addresses) the sketch holds the whole set and the estimate is exact.
 //
-// The serving pre-filter (core/incremental.cc) and the batch pre-filter
-// (features/lgm_x.cc) drop a candidate pair when EstimatePair — the best
-// estimate over the attributes comparable on both sides — falls below
-// --prefilter-threshold. Threshold 0 never drops anything, which keeps the
-// pipeline bit-identical to the unfiltered one (test-pinned).
+// The serving pre-filter (core/incremental.cc) drops a candidate pair when
+// EstimatePair — the best estimate over the attributes comparable on both
+// sides — falls below --prefilter-threshold; `skyex prefilter-eval` sweeps
+// that threshold over the blocked pairs of a dataset. The pre-filter is
+// serving-only: batch extraction scores every blocked pair. Threshold 0
+// never drops anything, which keeps serving bit-identical to the
+// unfiltered path (test-pinned).
 
 namespace skyex::features {
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "text/scratch.h"
 #include "text/tokenize.h"
 
 namespace skyex::lgm {

@@ -23,33 +23,21 @@ double JaroBitParallel(std::string_view a, std::string_view b,
                        size_t match_window) {
   const size_t len_a = a.size();
   const size_t len_b = b.size();
-  ScratchArena& s = ScratchArena::Get();
-  if (++s.jw_generation == 0) {  // stamp wrap: invalidate the table once
-    std::fill(std::begin(s.jw_char_stamp), std::end(s.jw_char_stamp), 0u);
-    s.jw_generation = 1;
-  }
-  const uint32_t gen = s.jw_generation;
-  for (size_t j = 0; j < len_b; ++j) {
-    const uint8_t c = static_cast<uint8_t>(b[j]);
-    if (s.jw_char_stamp[c] != gen) {
-      s.jw_char_stamp[c] = gen;
-      s.jw_char_mask[c] = 0;
-    }
-    s.jw_char_mask[c] |= uint64_t{1} << j;
-  }
+  ByteMasks& masks = ScratchArena::Get().Masks();
+  masks.Load(b);
 
   uint64_t matched_a = 0;
   uint64_t matched_b = 0;
   size_t matches = 0;
   for (size_t i = 0; i < len_a; ++i) {
-    const uint8_t c = static_cast<uint8_t>(a[i]);
-    if (s.jw_char_stamp[c] != gen) continue;  // character absent from b
+    const uint64_t occurrences = masks.Get(static_cast<unsigned char>(a[i]));
+    if (occurrences == 0) continue;  // character absent from b
     const size_t lo = (i > match_window) ? i - match_window : 0;
     const size_t hi = std::min(len_b, i + match_window + 1);
     const uint64_t below_hi =
         hi >= 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
     const uint64_t window = below_hi & ~((uint64_t{1} << lo) - 1);
-    const uint64_t cand = s.jw_char_mask[c] & window & ~matched_b;
+    const uint64_t cand = occurrences & window & ~matched_b;
     if (cand != 0) {
       matched_b |= cand & (~cand + 1);  // lowest set bit: smallest j
       matched_a |= uint64_t{1} << i;

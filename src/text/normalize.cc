@@ -1,7 +1,8 @@
 #include "text/normalize.h"
 
-#include <cctype>
 #include <cstdint>
+
+#include "text/char_class.h"
 
 namespace skyex::text {
 
@@ -116,8 +117,7 @@ std::string FoldAccents(std::string_view input) {
   while (i < input.size()) {
     uint32_t cp = DecodeUtf8(input, i);
     if (cp < 0x80) {
-      out.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(cp))));
+      out.push_back(ToLower(static_cast<unsigned char>(cp)));
     } else if (const char* rep = AsciiFold(cp)) {
       out += rep;
     }
@@ -130,8 +130,7 @@ std::string StripPunctuation(std::string_view input) {
   std::string out;
   out.reserve(input.size());
   for (char c : input) {
-    unsigned char uc = static_cast<unsigned char>(c);
-    out.push_back(std::isalnum(uc) ? c : ' ');
+    out.push_back(IsAlnum(static_cast<unsigned char>(c)) ? c : ' ');
   }
   return out;
 }
@@ -141,7 +140,7 @@ std::string CollapseWhitespace(std::string_view input) {
   out.reserve(input.size());
   bool in_space = true;  // true so leading spaces are trimmed
   for (char c : input) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(static_cast<unsigned char>(c))) {
       if (!in_space) out.push_back(' ');
       in_space = true;
     } else {

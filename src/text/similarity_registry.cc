@@ -15,14 +15,6 @@ double PermutedJaroWinklerDefault(std::string_view a, std::string_view b) {
   return PermutedJaroWinklerSimilarity(a, b);
 }
 
-double CosineBigrams(std::string_view a, std::string_view b) {
-  return CosineNgramSimilarity(a, b, 2);
-}
-
-double JaccardBigrams(std::string_view a, std::string_view b) {
-  return JaccardNgramSimilarity(a, b, 2);
-}
-
 double SoftJaccardDefault(std::string_view a, std::string_view b) {
   return SoftJaccardSimilarity(a, b);
 }
@@ -69,8 +61,8 @@ const std::vector<NamedSimilarity>& BasicTable(KernelImpl impl) {
       {"jaro_winkler_reversed", ReversedJaroWinklerSimilarity},
       {"jaro_winkler_sorted", SortedJaroWinklerSimilarity},
       {"jaro_winkler_permuted", PermutedJaroWinklerDefault},
-      {"cosine_bigrams", CosineBigrams},
-      {"jaccard_bigrams", JaccardBigrams},
+      {"cosine_bigrams", CosineNgramSimilarity},
+      {"jaccard_bigrams", JaccardNgramSimilarity},
       {"dice_bigrams", DiceBigramSimilarity},
       {"skipgram", SkipgramSimilarity},
       {"monge_elkan", MongeElkanSimilarity},

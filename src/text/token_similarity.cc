@@ -6,23 +6,26 @@
 #include <vector>
 
 #include "text/jaro.h"
-#include "text/ngram.h"
 #include "text/scratch.h"
+#include "text/tokenize.h"
 
 namespace skyex::text {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Packed n-gram codes.
+// Gram counts in one open-addressing table.
 //
-// The bigram measures (cosine / jaccard / dice / skipgram) only ever compare
-// gram multisets for equality and multiplicity, and their scores are ratios
-// of integer counts (every intermediate double is an exact integer < 2^53),
-// so replacing the reference's std::map<std::string,int> with sorted integer
-// codes is bit-identical. 2-character grams get a disjoint code namespace
-// (bit 17) from the single-character whole-string gram a short input yields,
-// so no collision is possible for any byte values.
+// The gram measures (cosine / jaccard / dice bigrams, skip-grams) are
+// functions of six integers: |A|, |B|, Σ min(ca, cb), Σ ca·cb, Σ ca² and
+// Σ cb² over the gram multisets. One pass over each string's grams in a
+// table keyed by the packed gram code gives all six exactly, and each
+// measure applies the reference's final expression to them. Every
+// intermediate the reference accumulates in a double is an integer below
+// 2^53, so it holds the same integer and the scores are bit-identical.
+// 2-character grams get a disjoint code namespace (bit 17) from the
+// single-character whole-string gram a 1-byte input yields, so no
+// collision is possible for any byte values.
 // ---------------------------------------------------------------------------
 
 constexpr uint32_t kTwoCharGram = 1u << 17;
@@ -33,146 +36,112 @@ inline uint32_t PackGram2(char c0, char c1) {
          static_cast<uint32_t>(static_cast<uint8_t>(c1));
 }
 
-// Character bigrams, same multiset as CharNgrams(input, 2).
-void PackBigrams(std::string_view input, std::vector<uint32_t>* out) {
-  out->clear();
-  if (input.empty()) return;
-  if (input.size() < 2) {
-    out->push_back(static_cast<uint8_t>(input[0]));
+// Calls fn(code) for every gram of `input`, the multiset SkipGrams(input,
+// max_skip) extracts (max_skip 0: CharNgrams(input, 2)): the pairs
+// (input[i], input[j]) with 1 <= j - i <= max_skip + 1, or the whole string
+// as a one-byte gram when it has a single character.
+template <typename Fn>
+inline void ForEachGram(std::string_view input, size_t max_skip, Fn&& fn) {
+  if (input.size() == 1) {
+    fn(static_cast<uint32_t>(static_cast<uint8_t>(input[0])));
     return;
   }
-  out->reserve(input.size() - 1);
-  for (size_t i = 0; i + 2 <= input.size(); ++i) {
-    out->push_back(PackGram2(input[i], input[i + 1]));
+  for (size_t i = 0; i + 1 < input.size(); ++i) {
+    const size_t end = std::min(input.size(), i + max_skip + 2);
+    for (size_t j = i + 1; j < end; ++j) fn(PackGram2(input[i], input[j]));
   }
-  std::sort(out->begin(), out->end());
 }
 
-// Skip-grams with skips 0..max_skip, same multiset as SkipGrams(). The
-// whole-string fallback for 1-character inputs packs as a single-char code.
-void PackSkipGrams(std::string_view input, size_t max_skip,
-                   std::vector<uint32_t>* out) {
-  out->clear();
-  for (size_t i = 0; i < input.size(); ++i) {
-    for (size_t skip = 0; skip <= max_skip; ++skip) {
-      const size_t j = i + 1 + skip;
-      if (j >= input.size()) break;
-      out->push_back(PackGram2(input[i], input[j]));
+struct GramCounts {
+  uint64_t size_a = 0;  // |A|
+  uint64_t size_b = 0;  // |B|
+  uint64_t inter = 0;   // Σ min(ca, cb)
+  uint64_t dot = 0;     // Σ ca·cb
+  uint64_t sq_a = 0;    // Σ ca²
+  uint64_t sq_b = 0;    // Σ cb²
+};
+
+// Counts the grams of two non-empty strings. The table is a power of two
+// at least twice the gram count bound (max_skip + 1) * (|a| + |b|), so
+// linear probing always finds a free slot; slots of other calls are told
+// apart by their stamp, so nothing is cleared between calls.
+GramCounts CountGrams(std::string_view a, std::string_view b,
+                      size_t max_skip) {
+  ScratchArena& s = ScratchArena::Get();
+  const size_t bound = (max_skip + 1) * (a.size() + b.size());
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * bound) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  if (s.gram_table.size() <= mask) s.gram_table.resize(mask + 1);
+  if (++s.gram_generation == 0) {  // stamp wrap: invalidate the table once
+    for (GramSlot& slot : s.gram_table) slot.stamp = 0;
+    s.gram_generation = 1;
+  }
+  const uint32_t gen = s.gram_generation;
+  GramSlot* table = s.gram_table.data();
+  const auto find = [&](uint32_t code) -> GramSlot& {
+    size_t i = (code * uint64_t{0x9E3779B97F4A7C15}) >> (64 - bits);
+    while (table[i].stamp == gen && table[i].code != code) {
+      i = (i + 1) & mask;
     }
-  }
-  if (out->empty() && !input.empty()) {
-    out->push_back(static_cast<uint8_t>(input[0]));
-  }
-  std::sort(out->begin(), out->end());
+    if (table[i].stamp != gen) table[i] = {gen, code, 0, 0};
+    return table[i];
+  };
+
+  GramCounts c;
+  ForEachGram(a, max_skip, [&](uint32_t code) {
+    GramSlot& slot = find(code);
+    c.sq_a += 2 * uint64_t{slot.count_a} + 1;  // (n + 1)² - n²
+    ++slot.count_a;
+    ++c.size_a;
+  });
+  ForEachGram(b, max_skip, [&](uint32_t code) {
+    GramSlot& slot = find(code);
+    c.inter += slot.count_b < slot.count_a;
+    c.dot += slot.count_a;
+    c.sq_b += 2 * uint64_t{slot.count_b} + 1;
+    ++slot.count_b;
+    ++c.size_b;
+  });
+  return c;
 }
 
-// Multiset intersection size of two sorted code arrays.
-size_t SortedIntersection(const std::vector<uint32_t>& a,
-                          const std::vector<uint32_t>& b) {
-  size_t i = 0;
-  size_t j = 0;
-  size_t inter = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
-  }
-  return inter;
-}
-
-double SortedJaccard(const std::vector<uint32_t>& a,
-                     const std::vector<uint32_t>& b) {
+// Multiset Jaccard over the grams; a non-empty string has at least one
+// gram, so the union is never empty.
+double GramJaccard(std::string_view a, std::string_view b, size_t max_skip) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  const size_t inter = SortedIntersection(a, b);
-  const size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double SquaredRunNorm(const std::vector<uint32_t>& a) {
-  double norm = 0.0;
-  size_t i = 0;
-  while (i < a.size()) {
-    size_t run = 1;
-    while (i + run < a.size() && a[i + run] == a[i]) ++run;
-    norm += static_cast<double>(run) * static_cast<double>(run);
-    i += run;
-  }
-  return norm;
+  const GramCounts c = CountGrams(a, b, max_skip);
+  return static_cast<double>(c.inter) /
+         static_cast<double>(c.size_a + c.size_b - c.inter);
 }
 
 }  // namespace
 
-double CosineNgramSimilarity(std::string_view a, std::string_view b,
-                             size_t n) {
-  if (n != 2) {
-    // Only the bigram case is on the hot path; other n keep the simple form.
-    return MultisetCosine(CharNgrams(a, n), CharNgrams(b, n));
-  }
+double CosineNgramSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  ScratchArena& s = ScratchArena::Get();
-  PackBigrams(a, &s.grams_a);
-  PackBigrams(b, &s.grams_b);
-  const double norm_a = SquaredRunNorm(s.grams_a);
-  const double norm_b = SquaredRunNorm(s.grams_b);
-  double dot = 0.0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < s.grams_a.size() && j < s.grams_b.size()) {
-    if (s.grams_a[i] < s.grams_b[j]) {
-      ++i;
-    } else if (s.grams_b[j] < s.grams_a[i]) {
-      ++j;
-    } else {
-      const uint32_t code = s.grams_a[i];
-      size_t ra = 0;
-      while (i + ra < s.grams_a.size() && s.grams_a[i + ra] == code) ++ra;
-      size_t rb = 0;
-      while (j + rb < s.grams_b.size() && s.grams_b[j + rb] == code) ++rb;
-      dot += static_cast<double>(ra) * static_cast<double>(rb);
-      i += ra;
-      j += rb;
-    }
-  }
-  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
+  const GramCounts c = CountGrams(a, b, 0);
   // Rounding can push identical vectors epsilon above 1.
-  return std::min(1.0, dot / (std::sqrt(norm_a) * std::sqrt(norm_b)));
+  return std::min(1.0, static_cast<double>(c.dot) /
+                           (std::sqrt(static_cast<double>(c.sq_a)) *
+                            std::sqrt(static_cast<double>(c.sq_b))));
 }
 
-double JaccardNgramSimilarity(std::string_view a, std::string_view b,
-                              size_t n) {
-  if (n != 2) {
-    return MultisetJaccard(CharNgrams(a, n), CharNgrams(b, n));
-  }
-  ScratchArena& s = ScratchArena::Get();
-  PackBigrams(a, &s.grams_a);
-  PackBigrams(b, &s.grams_b);
-  return SortedJaccard(s.grams_a, s.grams_b);
+double JaccardNgramSimilarity(std::string_view a, std::string_view b) {
+  return GramJaccard(a, b, 0);
 }
 
 double DiceBigramSimilarity(std::string_view a, std::string_view b) {
-  ScratchArena& s = ScratchArena::Get();
-  PackBigrams(a, &s.grams_a);
-  PackBigrams(b, &s.grams_b);
-  if (s.grams_a.empty() && s.grams_b.empty()) return 1.0;
-  if (s.grams_a.empty() || s.grams_b.empty()) return 0.0;
-  const size_t inter = SortedIntersection(s.grams_a, s.grams_b);
-  return 2.0 * static_cast<double>(inter) /
-         static_cast<double>(s.grams_a.size() + s.grams_b.size());
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const GramCounts c = CountGrams(a, b, 0);
+  return 2.0 * static_cast<double>(c.inter) /
+         static_cast<double>(c.size_a + c.size_b);
 }
 
 double SkipgramSimilarity(std::string_view a, std::string_view b) {
-  ScratchArena& s = ScratchArena::Get();
-  PackSkipGrams(a, 2, &s.grams_a);
-  PackSkipGrams(b, 2, &s.grams_b);
-  return SortedJaccard(s.grams_a, s.grams_b);
+  return GramJaccard(a, b, 2);
 }
 
 namespace {

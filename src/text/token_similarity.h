@@ -5,13 +5,11 @@
 
 namespace skyex::text {
 
-/// Cosine similarity over character n-gram count vectors (default n = 2).
-double CosineNgramSimilarity(std::string_view a, std::string_view b,
-                             size_t n = 2);
+/// Cosine similarity over character bigram count vectors.
+double CosineNgramSimilarity(std::string_view a, std::string_view b);
 
-/// Multiset Jaccard similarity over character n-grams (default n = 2).
-double JaccardNgramSimilarity(std::string_view a, std::string_view b,
-                              size_t n = 2);
+/// Multiset Jaccard similarity over character bigrams.
+double JaccardNgramSimilarity(std::string_view a, std::string_view b);
 
 /// Dice coefficient over character bigrams.
 double DiceBigramSimilarity(std::string_view a, std::string_view b);

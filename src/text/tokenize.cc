@@ -1,26 +1,32 @@
 #include "text/tokenize.h"
 
 #include <algorithm>
-#include <cctype>
+
+#include "text/char_class.h"
 
 namespace skyex::text {
 
 std::vector<std::string> Tokenize(std::string_view input) {
-  std::vector<std::string> tokens;
+  std::vector<std::string_view> views;
+  TokenizeViews(input, &views);
+  return {views.begin(), views.end()};
+}
+
+void TokenizeViews(std::string_view input,
+                   std::vector<std::string_view>* out) {
+  out->clear();
   size_t i = 0;
   while (i < input.size()) {
-    while (i < input.size() &&
-           std::isspace(static_cast<unsigned char>(input[i]))) {
+    while (i < input.size() && IsSpace(static_cast<unsigned char>(input[i]))) {
       ++i;
     }
-    size_t start = i;
+    const size_t start = i;
     while (i < input.size() &&
-           !std::isspace(static_cast<unsigned char>(input[i]))) {
+           !IsSpace(static_cast<unsigned char>(input[i]))) {
       ++i;
     }
-    if (i > start) tokens.emplace_back(input.substr(start, i - start));
+    if (i > start) out->push_back(input.substr(start, i - start));
   }
-  return tokens;
 }
 
 std::string SortTokens(std::string_view input) {

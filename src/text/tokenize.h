@@ -11,6 +11,10 @@ namespace skyex::text {
 /// normalized (see Normalize); no further cleaning is performed.
 std::vector<std::string> Tokenize(std::string_view input);
 
+/// Splits `input` on whitespace into views over `input` (no allocation
+/// beyond `out` growth). Same token boundaries as Tokenize().
+void TokenizeViews(std::string_view input, std::vector<std::string_view>* out);
+
 /// Returns the tokens of `input` sorted alphanumerically and re-joined with
 /// single spaces. This is the "custom sorting" LGM-Sim applies before
 /// computing the sorted similarity variants.

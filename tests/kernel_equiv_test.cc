@@ -5,8 +5,11 @@
 // equality — the optimized kernels are required to preserve the reference's
 // arithmetic, not merely approximate it.
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
+#include <string_view>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -52,17 +55,11 @@ std::vector<KernelPair> KernelPairs() {
        [](std::string_view a, std::string_view b) {
          return text::reference::PermutedJaroWinklerSimilarity(a, b);
        }},
-      {"cosine_bigrams",
-       [](std::string_view a, std::string_view b) {
-         return text::CosineNgramSimilarity(a, b, 2);
-       },
+      {"cosine_bigrams", text::CosineNgramSimilarity,
        [](std::string_view a, std::string_view b) {
          return text::reference::CosineNgramSimilarity(a, b, 2);
        }},
-      {"jaccard_bigrams",
-       [](std::string_view a, std::string_view b) {
-         return text::JaccardNgramSimilarity(a, b, 2);
-       },
+      {"jaccard_bigrams", text::JaccardNgramSimilarity,
        [](std::string_view a, std::string_view b) {
          return text::reference::JaccardNgramSimilarity(a, b, 2);
        }},
@@ -158,6 +155,31 @@ std::vector<std::string> RandomCorpus() {
   return corpus;
 }
 
+// Strings on both sides of the 64-byte cut-over of the bit-parallel
+// kernels (Jaro, Levenshtein, OSA Damerau-Levenshtein): 63, 64 and 65
+// bytes, and 200 bytes to pair with a 64-byte one, over 2-6 letter
+// alphabets, each next to a copy with adjacent swaps.
+std::vector<std::string> CutOverCorpus() {
+  std::mt19937_64 rng(0xc0ffee64);
+  std::vector<std::string> corpus;
+  for (size_t letters = 2; letters <= 6; ++letters) {
+    for (const size_t len : {63, 64, 65, 200}) {
+      std::string s;
+      for (size_t i = 0; i < len; ++i) {
+        s.push_back(static_cast<char>('a' + rng() % letters));
+      }
+      std::string swapped = s;
+      for (int k = 0; k < 4; ++k) {
+        const size_t i = rng() % (len - 1);
+        std::swap(swapped[i], swapped[i + 1]);
+      }
+      corpus.push_back(std::move(s));
+      corpus.push_back(std::move(swapped));
+    }
+  }
+  return corpus;
+}
+
 std::vector<SimdLevel> LevelsToTest() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (text::DetectedSimdLevel() >= SimdLevel::kSse2) {
@@ -206,6 +228,95 @@ TEST_F(KernelEquivTest, EditDistancesMatchReference) {
                 text::reference::LevenshteinDistance(a, b));
       ASSERT_EQ(text::DamerauLevenshteinDistance(a, b),
                 text::reference::DamerauLevenshteinDistance(a, b));
+    }
+  }
+}
+
+// The cut-over corpus at the active dispatch level only: the bit-parallel
+// paths do not dispatch, and the asan CI job re-runs this suite with the
+// level capped at scalar and SSE2 for the Jaro fallback's scans.
+TEST_F(KernelEquivTest, CutOverLengthsMatchReference) {
+  const std::vector<std::string> corpus = CutOverCorpus();
+  for (const std::string& a : corpus) {
+    for (const std::string& b : corpus) {
+      ASSERT_EQ(text::LevenshteinDistance(a, b),
+                text::reference::LevenshteinDistance(a, b));
+      ASSERT_EQ(text::DamerauLevenshteinDistance(a, b),
+                text::reference::DamerauLevenshteinDistance(a, b));
+      for (const KernelPair& k : KernelPairs()) {
+        ASSERT_EQ(k.optimized(a, b), k.reference(a, b))
+            << k.name << " diverged\n  a=\"" << a << "\"\n  b=\"" << b
+            << "\"";
+      }
+    }
+  }
+}
+
+// A seeded sweep of 200,000 pairs, lengths 0-70 and every 50th up to 160,
+// over 2-6 letter alphabets with spaces. Most b strings are a after up to
+// five random edits, adjacent swaps among them, so distances stay small
+// and the transposition term and repeated grams decide the results.
+TEST_F(KernelEquivTest, SeededSweepOfEditDistancesAndGramMeasures) {
+  std::vector<KernelPair> grams;
+  for (const KernelPair& k : KernelPairs()) {
+    const std::string_view name = k.name;
+    if (name == "cosine_bigrams" || name == "jaccard_bigrams" ||
+        name == "dice_bigrams" || name == "skipgram") {
+      grams.push_back(k);
+    }
+  }
+  ASSERT_EQ(grams.size(), 4u);
+  std::mt19937_64 rng(0x5eed2026);
+  for (int n = 0; n < 200000; ++n) {
+    const size_t letters = 2 + rng() % 5;
+    const auto letter = [&] {
+      return static_cast<char>('a' + rng() % letters);
+    };
+    const auto random_string = [&](size_t len) {
+      std::string s;
+      for (size_t i = 0; i < len; ++i) s.push_back(rng() % 8 == 0 ? ' ' : letter());
+      return s;
+    };
+    const std::string a = random_string(n % 50 == 0 ? rng() % 161 : rng() % 71);
+    std::string b = a;
+    if (rng() % 8 == 0) {
+      b = random_string(rng() % 71);
+    } else {
+      for (int edits = static_cast<int>(rng() % 6); edits > 0; --edits) {
+        switch (rng() % 4) {
+          case 0:
+            if (b.size() >= 2) {
+              const size_t i = rng() % (b.size() - 1);
+              std::swap(b[i], b[i + 1]);
+            }
+            break;
+          case 1:
+            if (!b.empty()) b[rng() % b.size()] = letter();
+            break;
+          case 2:
+            b.insert(b.begin() + static_cast<std::ptrdiff_t>(
+                                     rng() % (b.size() + 1)),
+                     letter());
+            break;
+          default:
+            if (!b.empty()) {
+              b.erase(b.begin() +
+                      static_cast<std::ptrdiff_t>(rng() % b.size()));
+            }
+            break;
+        }
+      }
+    }
+    ASSERT_EQ(text::LevenshteinDistance(a, b),
+              text::reference::LevenshteinDistance(a, b))
+        << "pair " << n << "\n  a=\"" << a << "\"\n  b=\"" << b << "\"";
+    ASSERT_EQ(text::DamerauLevenshteinDistance(a, b),
+              text::reference::DamerauLevenshteinDistance(a, b))
+        << "pair " << n << "\n  a=\"" << a << "\"\n  b=\"" << b << "\"";
+    for (const KernelPair& k : grams) {
+      ASSERT_EQ(k.optimized(a, b), k.reference(a, b))
+          << k.name << " diverged at pair " << n << "\n  a=\"" << a
+          << "\"\n  b=\"" << b << "\"";
     }
   }
 }

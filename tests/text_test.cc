@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 #include <string>
 #include <string_view>
@@ -52,6 +53,51 @@ TEST(Normalize, FullPipeline) {
             "cafe ambiance noerregade");
 }
 
+// The normaliser's character classes are the "C" locale's, the one a
+// program is in until it calls setlocale: for each of the 256 byte values,
+// every stage and the whole pipeline give what <cctype> gives.
+TEST(Normalize, ClassifiesEveryByteAsTheCLocaleDoes) {
+  const auto cctype_strip = [](const std::string& s) {
+    std::string out;
+    for (char c : s) {
+      out.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : ' ');
+    }
+    return out;
+  };
+  const auto cctype_collapse = [](const std::string& s) {
+    std::string out;
+    bool in_space = true;
+    for (char c : s) {
+      if (std::isspace(static_cast<unsigned char>(c))) {
+        if (!in_space) out.push_back(' ');
+        in_space = true;
+      } else {
+        out.push_back(c);
+        in_space = false;
+      }
+    }
+    if (!out.empty() && out.back() == ' ') out.pop_back();
+    return out;
+  };
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    const std::string alone(1, c);
+    const std::string inside = std::string("a") + c + "b";
+    if (v < 0x80) {
+      EXPECT_EQ(FoldAccents(alone), std::string(1, static_cast<char>(
+                                                       std::tolower(v))))
+          << "byte " << v;
+    }
+    EXPECT_EQ(StripPunctuation(alone), cctype_strip(alone)) << "byte " << v;
+    EXPECT_EQ(CollapseWhitespace(inside), cctype_collapse(inside))
+        << "byte " << v;
+    for (const std::string& s : {alone, inside}) {
+      EXPECT_EQ(Normalize(s), cctype_collapse(cctype_strip(FoldAccents(s))))
+          << "byte " << v;
+    }
+  }
+}
+
 // ----------------------------------------------------------------- Tokenize
 
 TEST(Tokenize, SplitsOnWhitespace) {
@@ -62,6 +108,23 @@ TEST(Tokenize, SplitsOnWhitespace) {
 }
 
 TEST(Tokenize, EmptyInput) { EXPECT_TRUE(Tokenize("").empty()); }
+
+// Tokens split at exactly the bytes <cctype>'s isspace names in the "C"
+// locale, for each of the 256 byte values.
+TEST(Tokenize, SplitsAtTheCLocaleSpacesOfEveryByte) {
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    const std::string input = std::string("ab") + c + "cd";
+    const std::vector<std::string> want =
+        std::isspace(v) ? std::vector<std::string>{"ab", "cd"}
+                        : std::vector<std::string>{input};
+    EXPECT_EQ(Tokenize(input), want) << "byte " << v;
+    EXPECT_EQ(Tokenize(std::string(1, c)),
+              std::isspace(v) ? std::vector<std::string>{}
+                              : std::vector<std::string>{std::string(1, c)})
+        << "byte " << v;
+  }
+}
 
 TEST(Tokenize, SortTokensAlphanumerically) {
   EXPECT_EQ(SortTokens("perla la restaurant"), "la perla restaurant");
